@@ -72,10 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--no-overlap", action="store_true")
     train.add_argument("--backend", default="numpy",
                        help="kernel backend (see `repro backends`)")
-    train.add_argument("--fuse", action="store_true",
-                       help="fuse SpMM->GeMM / GeMM->ReLU chains")
-    train.add_argument("--batched", action="store_true",
-                       help="batch per-rank kernel loops into one submit")
     train.add_argument("--capture", action="store_true",
                        help="capture epoch 1 into a plan and replay the rest")
 
@@ -299,8 +295,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         lr=args.lr,
         seed=args.seed,
         kernel_backend=args.backend,
-        fuse_ops=args.fuse,
-        batched_submit=args.batched,
         capture_epochs=args.capture,
     )
     trainer = MGGCNTrainer(

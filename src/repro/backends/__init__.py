@@ -20,9 +20,6 @@ Registered backends:
     Batches groups of same-shape GeMMs (the per-rank frontier/layer
     loops) into single stacked ``np.matmul`` calls. Bit-identical to
     ``numpy`` per slice (batched BLAS runs the same kernel per matrix).
-``numba``
-    Optional compiled CSR SpMM (guarded import — registered only when
-    numba is installed; parity is rtol-bounded, not bit-exact).
 """
 
 from repro.backends.base import (
@@ -34,7 +31,6 @@ from repro.backends.base import (
     registered_backends,
 )
 from repro.backends.blas_batched import BlasBatchedBackend
-from repro.backends.numba_backend import NUMBA_AVAILABLE, NumbaBackend
 from repro.backends.numpy_backend import NumpyBackend
 
 __all__ = [
@@ -42,8 +38,6 @@ __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "BlasBatchedBackend",
-    "NumbaBackend",
-    "NUMBA_AVAILABLE",
     "available_backends",
     "get_backend",
     "register_backend",

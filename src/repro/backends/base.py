@@ -8,7 +8,7 @@ tensor objects — so they stay oblivious to the discrete-event layer and
 can be swapped without touching any scheduler.
 
 Backends register under a short name via :func:`register_backend` with
-an optional availability probe (e.g. "is numba importable?"); resolution
+an optional availability probe (e.g. "is its runtime importable?"); resolution
 via :func:`get_backend` caches one instance per name (backends are
 stateless).
 """

@@ -1,8 +1,7 @@
 """Shared embedding-cache machinery (serving + training).
 
 * :mod:`repro.cache.lru` — the degree-aware LRU row cache the serving
-  layer queries per vertex (moved here from ``repro.serve.cache``;
-  that module re-exports for compatibility and now warns on import);
+  layer queries per vertex;
 * :mod:`repro.cache.policy` — bounded-staleness / byte-budget policy;
 * :mod:`repro.cache.training` — the training-time remote-tile cache
   that intercepts the staged broadcast SpMM (CaPGNN-style).

@@ -138,6 +138,18 @@ class Communicator:
     def size(self) -> int:
         return len(self.ranks)
 
+    @property
+    def plans_broadcasts(self) -> bool:
+        """Do :meth:`plan_broadcast`/:meth:`broadcast_replay` time a
+        broadcast exactly as :meth:`broadcast` does?
+
+        True for this flat single-rendezvous broadcast; a subclass whose
+        broadcast is shaped differently (multi-phase, per-tier timing)
+        returns False, and pipelined callers fall back to
+        :meth:`broadcast`.
+        """
+        return True
+
     # -- shared rendezvous machinery ----------------------------------------
 
     def _streams(

@@ -18,6 +18,14 @@ Two schedules:
 
 Each rank reads its *own* tile directly from its source tensor (no
 self-copy), as the root of a broadcast keeps its data in place.
+
+Every stage submits its per-rank SpMMs as one group
+(:func:`~repro.kernels.ops.spmm_many`). The stage schedule is
+epoch-invariant, so fault-free, capture-free calls over a flat
+communicator replay a cached :class:`_StagePlan` with dependency times
+folded into per-stage floors; the other calls (an active capture, a
+non-trivial fault plan, a node-hierarchical broadcast) take the fully
+validated per-stage ``comm.broadcast`` loop. Both emit the same trace.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ from repro.kernels.cost import CostModel
 from repro.kernels.ops import (
     build_spmm_group,
     specialize_spmm_group,
-    spmm,
     spmm_many,
 )
 from repro.nn.buffers import SharedBufferManager
@@ -54,7 +61,6 @@ def distributed_spmm(
     overlap_bw_fraction: float = 1.0,
     deps_by_rank: Optional[Dict[int, Sequence[Event]]] = None,
     label: str = "spmm",
-    batched: bool = False,
     cache: Optional["TrainingTileCache"] = None,
 ) -> Dict[int, List[Event]]:
     """Run one distributed SpMM; returns per-rank per-stage SpMM events.
@@ -62,9 +68,9 @@ def distributed_spmm(
     ``tiles[i][j]`` is rank ``i``'s stage-``j`` tile; ``sources[j]`` is
     the tile rank ``j`` broadcasts; ``outputs[i]`` accumulates rank
     ``i``'s result rows (zero-initialised here via the first stage's
-    ``accumulate=False``). With ``batched`` each stage's per-rank SpMM
-    loop goes through :func:`~repro.kernels.ops.spmm_many` — one engine
-    call and one backend group dispatch per stage, bit-identical.
+    ``accumulate=False``). Each stage's per-rank SpMMs go through
+    :func:`~repro.kernels.ops.spmm_many` — one engine call and one
+    backend group dispatch per stage.
 
     ``cache`` intercepts each stage's broadcast with the training-time
     remote-tile cache: on serve epochs only the uncached rows travel
@@ -82,15 +88,11 @@ def distributed_spmm(
     engine = ctx.engine
 
     if P == 1:
-        ev = spmm(
+        ev, = spmm_many(
             engine,
-            cost_models[0],
-            ctx.device(0).compute_stream,
-            tiles[0][0],
-            sources[0],
-            outputs[0],
+            [(ctx.device(0).compute_stream, cost_models[0], tiles[0][0],
+              sources[0], outputs[0], tuple(deps_by_rank.get(0, ())))],
             accumulate=False,
-            deps=tuple(deps_by_rank.get(0, ())),
             stage=0,
             name=f"{label}[0]",
         )
@@ -102,29 +104,29 @@ def distributed_spmm(
     extra_deps = {r: tuple(deps_by_rank.get(r, ())) for r in range(P)}
 
     if (
-        batched
-        and engine.capture is None
+        engine.capture is None
+        and comm.plans_broadcasts
         and list(comm.ranks) == list(range(P))
         and (comm.fault_injector is None or comm.fault_injector.is_trivial)
     ):
-        # Fault-free, capture-free batched epochs take the stage-pipelined
-        # fast path: dependency times are folded into per-stage floors and
-        # each broadcast goes through the lean rendezvous. Capture and
-        # fault injection keep the fully-validated per-op path below.
+        # Fault-free, capture-free epochs over a flat broadcast take the
+        # stage-pipelined fast path: dependency times are folded into
+        # per-stage floors and each broadcast goes through the lean
+        # rendezvous. Capture, fault injection and hierarchical
+        # broadcasts keep the fully-validated loop below.
         # The stage schedule is epoch-invariant, so each call site keeps
         # a validated plan on the context and replays it.
         # Plans are keyed per cache phase so refresh and serve schedules
         # coexist; the cache token pins a plan to the resident contents
         # it was built against (admission/evict/fill bumps it).
-        plan_cache = getattr(ctx, "spmm_plan_cache", None)
-        if plan_cache is None:
-            plan_cache = ctx.spmm_plan_cache = {}
+        plan_cache = ctx.spmm_plan_cache
         key = (label, None if cache is None else cache.phase)
         plan = plan_cache.get(key)
         if (
             plan is None
             or not plan.matches(
-                tiles, sources, outputs, buffer_managers, overlap, compute_bw
+                comm, tiles, sources, outputs, buffer_managers, overlap,
+                compute_bw,
             )
             or plan.cache_token != (
                 None if cache is None else cache.plan_token()
@@ -191,47 +193,25 @@ def distributed_spmm(
                 )
             next_bcast_time = comm.broadcast_duration(j + 1, next_nbytes)
         stage_bw = compute_bw if (overlap and j < P - 1) else 1.0
-        if batched:
-            items = []
-            for r in range(P):
-                operand = sources[j] if r == j else dsts[r]
-                deps = [events[r]]
-                deps.extend(extra_deps[r])
-                items.append(
-                    (ctx.device(r).compute_stream, cost_models[r],
-                     tiles[r][j], operand, outputs[r], deps)
-                )
-            stage_events = spmm_many(
-                engine,
-                items,
-                accumulate=(j > 0),
-                stage=j,
-                name=f"{label}[{j}]",
-                bw_fraction=stage_bw,
-                overlap_comm_time=next_bcast_time,
-            )
-            for r, ev in enumerate(stage_events):
-                spmm_events[r].append(ev)
-            continue
+        items = []
         for r in range(P):
             operand = sources[j] if r == j else dsts[r]
-            stream = ctx.device(r).compute_stream
-            deps: List[Event] = [events[r]]
+            deps = [events[r]]
             deps.extend(extra_deps[r])
-            ev = spmm(
-                engine,
-                cost_models[r],
-                stream,
-                tiles[r][j],
-                operand,
-                outputs[r],
-                accumulate=(j > 0),
-                deps=deps,
-                stage=j,
-                name=f"{label}[{j}]",
-                bw_fraction=stage_bw,
-                overlap_comm_time=next_bcast_time,
+            items.append(
+                (ctx.device(r).compute_stream, cost_models[r],
+                 tiles[r][j], operand, outputs[r], deps)
             )
+        stage_events = spmm_many(
+            engine,
+            items,
+            accumulate=(j > 0),
+            stage=j,
+            name=f"{label}[{j}]",
+            bw_fraction=stage_bw,
+            overlap_comm_time=next_bcast_time,
+        )
+        for r, ev in enumerate(stage_events):
             spmm_events[r].append(ev)
 
     return spmm_events
@@ -242,8 +222,9 @@ class _StagePlan:
 
     Everything about the stage loop except dependency *times* is fixed
     across epochs: operands and broadcast views (the buffer managers
-    cache them), each broadcast's duration and event names (communicator
-    bandwidth and ranks are frozen for its lifetime), each rank's SpMM
+    cache them), each broadcast's duration and event names (the
+    communicator's bandwidth and ranks are frozen for its lifetime, and
+    the plan is pinned to that communicator), each rank's SpMM
     duration and flops (frozen cost models and shapes), and the group
     compute closure (it derefs ``.data`` at call time). Build once per
     call site, then replay each epoch with only the per-stage start
@@ -253,12 +234,13 @@ class _StagePlan:
     """
 
     __slots__ = (
-        "tiles", "sources", "outputs", "managers", "overlap",
+        "comm", "tiles", "sources", "outputs", "managers", "overlap",
         "compute_bw", "stages", "cache_token",
     )
 
-    def __init__(self, tiles, sources, outputs, managers, overlap,
+    def __init__(self, comm, tiles, sources, outputs, managers, overlap,
                  compute_bw, stages, cache_token=None):
+        self.comm = comm
         self.tiles = tuple(tiles)
         self.sources = tuple(sources)
         self.outputs = tuple(outputs)
@@ -275,9 +257,11 @@ class _StagePlan:
         #: the group compute closure (None in symbolic mode).
         self.stages = stages
 
-    def matches(self, tiles, sources, outputs, managers, overlap,
+    def matches(self, comm, tiles, sources, outputs, managers, overlap,
                 compute_bw) -> bool:
         """Is this plan still valid for the operands of this call?"""
+        if self.comm is not comm:
+            return False
         if self.overlap != overlap or self.compute_bw != compute_bw:
             return False
         if len(tiles) != len(self.tiles):
@@ -355,7 +339,8 @@ def _build_stage_plan(
             # every rank's dense operand holds the stage root's tile
             # (rank j reads src itself, the others their broadcast copy).
             fast_compute = specialize_spmm_group(
-                engine.backend, items, accumulate=(j > 0), shared_dense=src
+                engine.backend, items, ctx.host_buffer, accumulate=(j > 0),
+                shared_dense=src,
             )
             if fast_compute is not None:
                 compute = fast_compute
@@ -366,8 +351,8 @@ def _build_stage_plan(
     # token taken *after* the stage walk: stage_entry may admit entries
     # (or mark them filled), and the plan must pin the resulting state.
     token = None if cache is None else cache.plan_token()
-    return _StagePlan(tiles, sources, outputs, buffer_managers, overlap,
-                      compute_bw, stages, token)
+    return _StagePlan(comm, tiles, sources, outputs, buffer_managers,
+                      overlap, compute_bw, stages, token)
 
 
 def _replay_stage_plan(
@@ -376,7 +361,7 @@ def _replay_stage_plan(
     plan: _StagePlan,
     extra_deps: Dict[int, tuple],
 ) -> Dict[int, List[Event]]:
-    """The batched stage loop with dependency times tracked as floats.
+    """The pipelined stage loop with dependency times tracked as floats.
 
     Timing-equivalent to the general loop in :func:`distributed_spmm`:
     the broadcast of stage ``j`` starts no earlier than the guard stage's

@@ -34,17 +34,10 @@ from repro.hardware.spec import MachineSpec
 from repro.kernels.cost import CostModel, KernelCosts
 from repro.kernels.ops import (
     adam_step_op,
-    build_gemm,
-    build_relu,
-    build_spmm,
-    gemm,
     gemm_many,
-    gemm_relu_backward,
     gemm_relu_backward_many,
-    relu_forward,
     relu_many,
     softmax_cross_entropy,
-    submit_chain,
 )
 from repro.cache import CachePolicy, TrainingTileCache
 from repro.config import FLOAT_SIZE
@@ -100,18 +93,8 @@ class TrainerConfig:
     #: communicator, so the flag only changes multi-node timing.
     hierarchical_collectives: bool = False
     #: kernel backend name (:mod:`repro.backends` registry): "numpy"
-    #: (reference), "blas_batched" (stacked same-shape GeMMs), or
-    #: "numba" (compiled CSR SpMM; auto-unavailable without numba).
+    #: (reference) or "blas_batched" (stacked same-shape GeMMs).
     kernel_backend: str = "numpy"
-    #: collapse eligible forward chains (SpMM→GeMM, GeMM→ReLU) into one
-    #: submitted op each, and fuse captured plans at finalization.
-    #: Bit-identical timing, trace, and numerics; auto-disabled while a
-    #: non-trivial fault injector is attached.
-    fuse_ops: bool = False
-    #: submit per-rank kernel loops (forward GeMM/ReLU, backward wgrad)
-    #: through ``Engine.submit_many`` with one batch-group closure —
-    #: one engine call and one backend dispatch per loop. Bit-identical.
-    batched_submit: bool = False
     #: row-partition strategy: "uniform" (the paper's, §4.1) or
     #: "resource_aware" (CaPGNN cost-model split; see
     #: :func:`repro.core.partitioner.resource_aware_partition`).
@@ -347,7 +330,6 @@ class MGGCNTrainer:
             overlap_bw_fraction=self._overlap_bw_fraction,
             deps_by_rank=deps_by_rank,
             label=label,
-            batched=self.config.batched_submit,
             cache=self._spmm_cache(direction),
         )
 
@@ -368,26 +350,14 @@ class MGGCNTrainer:
     def _forward(self) -> List[List[DeviceTensor]]:
         """Run the forward pass; returns per-layer per-rank outputs.
 
-        With ``fuse_ops`` each layer's back-to-back chain on a rank's
-        compute stream goes through :func:`submit_chain`: on one GPU the
-        whole layer (GEMM→SpMM→ReLU or SpMM→GEMM→ReLU) is a single fused
-        op; multi-GPU, the post-SpMM GEMM→ReLU pair fuses per rank. With
-        ``batched_submit`` the remaining per-rank loops go through
-        :func:`gemm_many` / :func:`relu_many`; when both flags are on,
-        the batched cross-rank calls take the multi-GPU loops (fusion
-        keeps the single-GPU full-layer chain and captured plans). All
-        paths keep the trace and the timeline bit-identical to the plain
-        loop.
+        Every per-rank kernel loop is one batched group
+        (:func:`gemm_many` / :func:`relu_many`): one engine call and one
+        backend dispatch per loop, with the trace and the timeline of
+        the op-at-a-time loop.
         """
         P = self.ctx.num_gpus
         engine = self.ctx.engine
-        fuse = self.config.fuse_ops and engine.supports_fusion
-        batched = self.config.batched_submit
-        # the single-GPU full-layer chain builds the SpMM part directly
-        # (bypassing the seam), so it needs the base 1D schedule.
-        fuse_full = (
-            fuse and P == 1 and type(self)._run_spmm is MGGCNTrainer._run_spmm
-        )
+        streams = [self.ctx.device(i).compute_stream for i in range(P)]
         inputs: Sequence[DeviceTensor] = self.graph.features
         layer_outputs: List[List[DeviceTensor]] = []
         for l in range(self.model.num_layers):
@@ -396,73 +366,24 @@ class MGGCNTrainer:
                 d_in, d_out, self.config.order_optimization
             )
             outs = [self.buffers[i].layer_output(l) for i in range(P)]
-            last = l == self.model.num_layers - 1
-            if fuse_full:
-                cost = self.cost_models[0]
-                tile = self.graph.forward_tiles[0][0]
-                if order is ComputeOrder.GEMM_FIRST:
-                    hw = self.buffers[0].hw_view(d_out)
-                    parts = [
-                        build_gemm(engine, cost, inputs[0], self.weights[0][l],
-                                   hw, name=f"fwd{l}/gemm"),
-                        build_spmm(engine, cost, tile, hw, outs[0],
-                                   accumulate=False, stage=0,
-                                   name=f"fwd{l}/spmm[0]"),
-                    ]
-                else:
-                    ah = self.buffers[0].hw_view(d_in)
-                    parts = [
-                        build_spmm(engine, cost, tile, inputs[0], ah,
-                                   accumulate=False, stage=0,
-                                   name=f"fwd{l}/spmm[0]"),
-                        build_gemm(engine, cost, ah, self.weights[0][l],
-                                   outs[0], name=f"fwd{l}/gemm"),
-                    ]
-                if not last:
-                    parts.append(
-                        build_relu(engine, cost, outs[0], name=f"fwd{l}/relu")
-                    )
-                submit_chain(
-                    engine, self.ctx.device(0).compute_stream, parts
-                )
-                layer_outputs.append(outs)
-                inputs = outs
-                continue
-            relu_done = False
             if order is ComputeOrder.GEMM_FIRST:
                 hw_views = [self.buffers[i].hw_view(d_out) for i in range(P)]
-                gemm_events: Dict[int, List[Event]] = {}
-                if batched:
-                    events = gemm_many(
-                        engine,
-                        [
-                            (self.ctx.device(i).compute_stream,
-                             self.cost_models[i], inputs[i],
-                             self.weights[i][l], hw_views[i], ())
-                            for i in range(P)
-                        ],
-                        name=f"fwd{l}/gemm",
-                    )
-                    gemm_events = {i: [ev] for i, ev in enumerate(events)}
-                else:
-                    for i in range(P):
-                        ev = gemm(
-                            engine,
-                            self.cost_models[i],
-                            self.ctx.device(i).compute_stream,
-                            inputs[i],
-                            self.weights[i][l],
-                            hw_views[i],
-                            name=f"fwd{l}/gemm",
-                        )
-                        gemm_events[i] = [ev]
+                events = gemm_many(
+                    engine,
+                    [
+                        (streams[i], self.cost_models[i], inputs[i],
+                         self.weights[i][l], hw_views[i], ())
+                        for i in range(P)
+                    ],
+                    name=f"fwd{l}/gemm",
+                )
                 self._run_spmm(
                     l,
                     "fwd",
                     self.graph.forward_tiles,
                     hw_views,
                     outs,
-                    deps_by_rank=gemm_events,
+                    deps_by_rank={i: [ev] for i, ev in enumerate(events)},
                     label=f"fwd{l}/spmm",
                 )
             else:
@@ -475,66 +396,22 @@ class MGGCNTrainer:
                     ah_views,
                     label=f"fwd{l}/spmm",
                 )
-                if fuse and not last and not batched:
-                    # per-rank GEMM→ReLU chain after the distributed SpMM.
-                    # With batched_submit also on, the batched group calls
-                    # below win instead: one engine call across ranks beats
-                    # P fused two-op chains.
-                    for i in range(P):
-                        submit_chain(
-                            engine,
-                            self.ctx.device(i).compute_stream,
-                            [
-                                build_gemm(engine, self.cost_models[i],
-                                           ah_views[i], self.weights[i][l],
-                                           outs[i], name=f"fwd{l}/gemm"),
-                                build_relu(engine, self.cost_models[i],
-                                           outs[i], name=f"fwd{l}/relu"),
-                            ],
-                        )
-                    relu_done = True
-                elif batched:
-                    gemm_many(
-                        engine,
-                        [
-                            (self.ctx.device(i).compute_stream,
-                             self.cost_models[i], ah_views[i],
-                             self.weights[i][l], outs[i], ())
-                            for i in range(P)
-                        ],
-                        name=f"fwd{l}/gemm",
-                    )
-                else:
-                    for i in range(P):
-                        gemm(
-                            engine,
-                            self.cost_models[i],
-                            self.ctx.device(i).compute_stream,
-                            ah_views[i],
-                            self.weights[i][l],
-                            outs[i],
-                            name=f"fwd{l}/gemm",
-                        )
-            if not last and not relu_done:
-                if batched:
-                    relu_many(
-                        engine,
-                        [
-                            (self.ctx.device(i).compute_stream,
-                             self.cost_models[i], outs[i], ())
-                            for i in range(P)
-                        ],
-                        name=f"fwd{l}/relu",
-                    )
-                else:
-                    for i in range(P):
-                        relu_forward(
-                            engine,
-                            self.cost_models[i],
-                            self.ctx.device(i).compute_stream,
-                            outs[i],
-                            name=f"fwd{l}/relu",
-                        )
+                gemm_many(
+                    engine,
+                    [
+                        (streams[i], self.cost_models[i], ah_views[i],
+                         self.weights[i][l], outs[i], ())
+                        for i in range(P)
+                    ],
+                    name=f"fwd{l}/gemm",
+                )
+            if l < self.model.num_layers - 1:
+                relu_many(
+                    engine,
+                    [(streams[i], self.cost_models[i], outs[i], ())
+                     for i in range(P)],
+                    name=f"fwd{l}/relu",
+                )
             layer_outputs.append(outs)
             inputs = outs
         return layer_outputs
@@ -568,6 +445,7 @@ class MGGCNTrainer:
         P = self.ctx.num_gpus
         engine = self.ctx.engine
         L = self.model.num_layers
+        streams = [self.ctx.device(i).compute_stream for i in range(P)]
         self._adam_t += 1
         for l in range(L - 1, -1, -1):
             d_in, d_out = self.model.dims_of(l)
@@ -588,61 +466,31 @@ class MGGCNTrainer:
             h_in = (
                 self.graph.features if l == 0 else layer_outputs[l - 1]
             )
-            wg_events: Dict[int, List[Event]] = {}
-            if self.config.batched_submit:
-                events = gemm_many(
-                    engine,
-                    [
-                        (self.ctx.device(i).compute_stream,
-                         self.cost_models[i], h_in[i], hwg[i],
-                         self.wgrads[i][l], ())
-                        for i in range(P)
-                    ],
-                    transpose_a=True,
-                    name=f"bwd{l}/wgrad",
-                )
-                wg_events = {i: [ev] for i, ev in enumerate(events)}
-            else:
-                for i in range(P):
-                    ev = gemm(
-                        engine,
-                        self.cost_models[i],
-                        self.ctx.device(i).compute_stream,
-                        h_in[i],
-                        hwg[i],
-                        self.wgrads[i][l],
-                        transpose_a=True,
-                        name=f"bwd{l}/wgrad",
-                    )
-                    wg_events[i] = [ev]
+            events = gemm_many(
+                engine,
+                [
+                    (streams[i], self.cost_models[i], h_in[i], hwg[i],
+                     self.wgrads[i][l], ())
+                    for i in range(P)
+                ],
+                transpose_a=True,
+                name=f"bwd{l}/wgrad",
+            )
+            wg_events = {i: [ev] for i, ev in enumerate(events)}
             # Propagate H_G into the previous layer's buffer *before* the
             # weight update (it reads the pre-update W), fusing the ReLU
             # mask of layer l-1's stored activation.
             if l > 0:
-                if self.config.batched_submit:
-                    gemm_relu_backward_many(
-                        engine,
-                        [
-                            (self.ctx.device(i).compute_stream,
-                             self.cost_models[i], hwg[i],
-                             self.weights[i][l], layer_outputs[l - 1][i], ())
-                            for i in range(P)
-                        ],
-                        transpose_b=True,
-                        name=f"bwd{l}/hgrad",
-                    )
-                else:
-                    for i in range(P):
-                        gemm_relu_backward(
-                            engine,
-                            self.cost_models[i],
-                            self.ctx.device(i).compute_stream,
-                            hwg[i],
-                            self.weights[i][l],
-                            layer_outputs[l - 1][i],
-                            transpose_b=True,
-                            name=f"bwd{l}/hgrad",
-                        )
+                gemm_relu_backward_many(
+                    engine,
+                    [
+                        (streams[i], self.cost_models[i], hwg[i],
+                         self.weights[i][l], layer_outputs[l - 1][i], ())
+                        for i in range(P)
+                    ],
+                    transpose_b=True,
+                    name=f"bwd{l}/hgrad",
+                )
             allreduce_events = self.comm.allreduce(
                 {i: self.wgrads[i][l] for i in range(P)},
                 op="sum",
@@ -757,7 +605,7 @@ class MGGCNTrainer:
         finally:
             capture.end()
         t1 = self.ctx.synchronize()
-        self._plan = capture.finalize(fuse=self.config.fuse_ops)
+        self._plan = capture.finalize()
         self._plan_sig = sig
         self.plan_stats.captures += 1
         return self._finish_epoch(t0, t1, loss, trace_start)
@@ -841,8 +689,6 @@ class MGGCNTrainer:
             self.config.first_layer_skip,
             self.config.hierarchical_collectives,
             self.config.kernel_backend,
-            self.config.fuse_ops,
-            self.config.batched_submit,
             self.config.partition_strategy,
             None if self.training_cache is None
             else self.training_cache.plan_token(),

@@ -343,94 +343,6 @@ class Engine:
                 )
         return events
 
-    def submit_fused(
-        self,
-        stream: Stream,
-        parts: Sequence[Tuple[str, str, float, Optional[int], int, float]],
-        deps: Sequence[Event] = (),
-        compute=None,
-        correlation: Optional[str] = None,
-    ) -> Event:
-        """Submit a chain of back-to-back ops as one engine call.
-
-        ``parts`` is ``[(name, category, duration, stage, nbytes, flops),
-        ...]``; part *i+1* starts exactly when part *i* ends on the same
-        stream. The emitted trace events are bit-identical to submitting
-        the parts separately (each depending on the previous), but the
-        chain pays one dependency resolution, one completion
-        :class:`Event`, one capture record and — with a fused ``compute``
-        closure — one Python dispatch for its numerics.
-
-        Callers that hold per-part closures should fall back to
-        sequential submits under a non-trivial fault injector (see
-        :attr:`supports_fusion`); if called anyway, the straggler factor
-        is applied per part and device failure is checked at the chain's
-        start.
-        """
-        if not parts:
-            raise ValueError("submit_fused: empty part list")
-        start = stream.consume_waits()
-        for dep in deps:
-            start = max(start, dep.require_time())
-        factor = 1.0
-        injector = self.fault_injector
-        if injector is not None and not injector.is_trivial:
-            rank = getattr(stream.device, "rank", None)
-            if rank is not None:
-                injector.check_device(stream.device.name, rank, start)
-                factor = injector.compute_factor(rank, start)
-        telemetry = self.telemetry
-        trace_on = self.record_trace
-        spans = telemetry is not None and getattr(telemetry, "trace_ops", False)
-        cs = self._category_seconds
-        s = start
-        applied: List[Tuple[str, str, float, Optional[int], int, float]] = []
-        for name, category, duration, stage, nbytes, flops in parts:
-            if duration < 0:
-                raise ValueError(f"op {name!r}: negative duration {duration}")
-            if factor != 1.0:
-                duration = duration * factor
-            e = s + duration
-            applied.append((name, category, duration, stage, nbytes, flops))
-            if trace_on or spans:
-                ev = TraceEvent(
-                    device=stream.device.name,
-                    stream=stream.name,
-                    name=name,
-                    category=category,
-                    start=s,
-                    end=e,
-                    stage=stage,
-                    nbytes=nbytes,
-                    correlation=correlation,
-                    flops=flops,
-                )
-                if trace_on:
-                    self.trace.append(ev)
-                    cs[category] = cs.get(category, 0.0) + (e - s)
-                if telemetry is not None:
-                    telemetry.on_op(ev)
-            elif telemetry is not None:
-                telemetry.on_op_values(
-                    category, stream.device.name, e - s, nbytes, flops
-                )
-            s = e
-        end = s
-        stream.ready_time = end
-        event = Event(name=parts[-1][0])
-        event.time = end
-        if self.capture is not None:
-            self.capture.record_fused(
-                stream, event, applied, deps, compute, correlation=correlation,
-            )
-        return event
-
-    @property
-    def supports_fusion(self) -> bool:
-        """False when per-op fault checks forbid chained submission."""
-        injector = self.fault_injector
-        return injector is None or injector.is_trivial
-
     def barrier(self, streams: Iterable[Stream]) -> float:
         """Synchronise a set of streams to a common time; returns it.
 
@@ -519,6 +431,12 @@ class SimContext:
         self.devices: List[VirtualGPU] = [
             VirtualGPU(machine.gpu, rank=r, mode=mode) for r in range(self.num_gpus)
         ]
+        #: epoch-invariant SpMM stage plans, one per call site
+        #: (:func:`repro.core.spmm_mg.distributed_spmm`).
+        self.spmm_plan_cache: Dict[tuple, object] = {}
+        #: host scratch arrays shared by every stage plan, one per
+        #: ``(role, shape, dtype)``; see :meth:`host_buffer`.
+        self._host_buffers: Dict[tuple, np.ndarray] = {}
 
     @property
     def ranks(self) -> List[int]:
@@ -541,6 +459,22 @@ class SimContext:
     def elapsed(self) -> float:
         """Latest completion time across all devices (no sync)."""
         return self.engine.now(self.all_streams())
+
+    def host_buffer(self, role: str, shape: Tuple[int, ...],
+                    dtype) -> np.ndarray:
+        """A reusable host array for ``role`` of this shape and dtype.
+
+        Functional compute runs sequentially on the host, so closures
+        that only use an array *within* one call can all share it: a
+        context keeps one per ``(role, shape, dtype)`` instead of one per
+        closure. Contents are undefined on entry; distinct roles never
+        alias, so a closure may hold one buffer of each role at once.
+        """
+        key = (role, tuple(shape), np.dtype(dtype))
+        buf = self._host_buffers.get(key)
+        if buf is None:
+            buf = self._host_buffers[key] = np.empty(key[1], dtype=key[2])
+        return buf
 
     def peak_memory(self) -> int:
         """Max peak memory over participating devices, bytes."""

@@ -22,16 +22,16 @@ shared-buffer scheme already relies on).
 Array-level math is delegated to the engine's pluggable
 :class:`~repro.backends.KernelBackend` (``engine.backend``), so backends
 swap without touching any call site. Beyond the single-op kernels, this
-module provides *chained* submission (:func:`submit_chain` — one engine
-op for a back-to-back sequence like SpMM→GeMM→ReLU) and *batched*
-submission (:func:`gemm_many` / :func:`spmm_many` / :func:`relu_many` —
-one ``Engine.submit_many`` call and one group closure for a per-rank
-loop), both bit-identical to their op-at-a-time equivalents.
+module provides *batched* submission (:func:`gemm_many` /
+:func:`spmm_many` / :func:`relu_many` /
+:func:`gemm_relu_backward_many` — one ``Engine.submit_many`` call and one
+group closure for a per-rank loop), bit-identical to the op-at-a-time
+kernels; the trainer's eager epoch runs every per-rank loop through them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,23 +41,6 @@ from repro.device.tensor import DeviceTensor, Mode
 from repro.errors import ShapeError
 from repro.kernels.cost import CostModel
 from repro.sparse.csr import CSRMatrix
-
-
-class OpPart(NamedTuple):
-    """One kernel's submission ingredients, before it hits the engine.
-
-    Built by the ``build_*`` helpers so a part can either be submitted
-    alone (the classic kernels) or chained into a fused op
-    (:func:`submit_chain`).
-    """
-
-    name: str
-    category: str
-    duration: float
-    stage: Optional[int]
-    nbytes: int
-    flops: float
-    compute: Optional[Callable[[], None]]
 
 
 def _functional(*tensors: DeviceTensor) -> bool:
@@ -70,19 +53,21 @@ def _dims(t: DeviceTensor, transpose: bool) -> Tuple[int, int]:
     return (c, r) if transpose else (r, c)
 
 
-def build_gemm(
+def gemm(
     engine: Engine,
     cost: CostModel,
+    stream: Stream,
     a: DeviceTensor,
     b: DeviceTensor,
     out: DeviceTensor,
     transpose_a: bool = False,
     transpose_b: bool = False,
     accumulate: bool = False,
+    deps: Sequence[Event] = (),
     name: str = "gemm",
     bw_fraction: float = 1.0,
-) -> OpPart:
-    """Validate + build one GeMM part (closure not yet executed)."""
+) -> Event:
+    """``out (+)= op(a) @ op(b)`` — the cuBLAS-style dense kernel."""
     m, k = _dims(a, transpose_a)
     k2, n = _dims(b, transpose_b)
     if k != k2:
@@ -103,70 +88,11 @@ def build_gemm(
                 accumulate=accumulate,
             )
 
+        compute()
     duration = cost.gemm_time(m, n, k, itemsize=out.dtype.itemsize,
                               bw_fraction=bw_fraction)
-    return OpPart(name, "gemm", duration, None, 0, 2.0 * m * n * k, compute)
-
-
-def gemm(
-    engine: Engine,
-    cost: CostModel,
-    stream: Stream,
-    a: DeviceTensor,
-    b: DeviceTensor,
-    out: DeviceTensor,
-    transpose_a: bool = False,
-    transpose_b: bool = False,
-    accumulate: bool = False,
-    deps: Sequence[Event] = (),
-    name: str = "gemm",
-    bw_fraction: float = 1.0,
-) -> Event:
-    """``out (+)= op(a) @ op(b)`` — the cuBLAS-style dense kernel."""
-    part = build_gemm(engine, cost, a, b, out, transpose_a=transpose_a,
-                      transpose_b=transpose_b, accumulate=accumulate,
-                      name=name, bw_fraction=bw_fraction)
-    if part.compute is not None:
-        part.compute()
-    return engine.submit(stream, part.name, part.category, part.duration,
-                         deps=deps, compute=part.compute, flops=part.flops)
-
-
-def build_spmm(
-    engine: Engine,
-    cost: CostModel,
-    tile,
-    dense: DeviceTensor,
-    out: DeviceTensor,
-    accumulate: bool = True,
-    stage: Optional[int] = None,
-    name: str = "spmm",
-    bw_fraction: float = 1.0,
-    overlap_comm_time: float = 0.0,
-) -> OpPart:
-    """Validate + build one SpMM part (closure not yet executed)."""
-    rows, k = tile.shape
-    if dense.rows != k:
-        raise ShapeError(
-            f"{name}: tile is {rows}x{k} but dense operand has {dense.rows} rows"
-        )
-    if (out.rows, out.cols) != (rows, dense.cols):
-        raise ShapeError(
-            f"{name}: out is {out.rows}x{out.cols}, expected {rows}x{dense.cols}"
-        )
-    compute: Optional[Callable[[], None]] = None
-    if isinstance(tile, CSRMatrix) and _functional(dense, out):
-        backend = engine.backend
-
-        def compute() -> None:
-            backend.spmm(tile, dense.data, out.data, accumulate=accumulate)
-
-    duration = _spmm_duration(
-        cost, rows, tile.nnz, dense.cols, k, out.dtype.itemsize,
-        bw_fraction, overlap_comm_time,
-    )
-    return OpPart(name, "spmm", duration, stage, 0,
-                  2.0 * tile.nnz * dense.cols, compute)
+    return engine.submit(stream, name, "gemm", duration, deps=deps,
+                         compute=compute, flops=2.0 * m * n * k)
 
 
 def _spmm_duration(
@@ -248,14 +174,30 @@ def spmm(
     it runs at full speed. The slowdown is therefore bounded both by
     the fully-derated duration and by ``base + B * (1 - f)``.
     """
-    part = build_spmm(engine, cost, tile, dense, out, accumulate=accumulate,
-                      stage=stage, name=name, bw_fraction=bw_fraction,
-                      overlap_comm_time=overlap_comm_time)
-    if part.compute is not None:
-        part.compute()
-    return engine.submit(stream, part.name, part.category, part.duration,
-                         deps=deps, stage=part.stage, compute=part.compute,
-                         flops=part.flops)
+    rows, k = tile.shape
+    if dense.rows != k:
+        raise ShapeError(
+            f"{name}: tile is {rows}x{k} but dense operand has {dense.rows} rows"
+        )
+    if (out.rows, out.cols) != (rows, dense.cols):
+        raise ShapeError(
+            f"{name}: out is {out.rows}x{out.cols}, expected {rows}x{dense.cols}"
+        )
+    compute: Optional[Callable[[], None]] = None
+    if isinstance(tile, CSRMatrix) and _functional(dense, out):
+        backend = engine.backend
+
+        def compute() -> None:
+            backend.spmm(tile, dense.data, out.data, accumulate=accumulate)
+
+        compute()
+    duration = _spmm_duration(
+        cost, rows, tile.nnz, dense.cols, k, out.dtype.itemsize,
+        bw_fraction, overlap_comm_time,
+    )
+    return engine.submit(stream, name, "spmm", duration, deps=deps,
+                         stage=stage, compute=compute,
+                         flops=2.0 * tile.nnz * dense.cols)
 
 
 def gemm_relu_backward(
@@ -336,30 +278,9 @@ def gemm_relu_backward_many(
                 backend.gemm_relu_grad(a.data, b.data, out.data,
                                        transpose_b=transpose_b)
 
-        compute._group = True
         compute()
         specs[0] = specs[0][:7] + (compute, None, specs[0][9])
     return engine.submit_many(specs)
-
-
-def build_relu(
-    engine: Engine,
-    cost: CostModel,
-    tensor: DeviceTensor,
-    name: str = "relu",
-) -> OpPart:
-    """Build one in-place ReLU part (closure not yet executed)."""
-    compute: Optional[Callable[[], None]] = None
-    if tensor.data is not None:
-        backend = engine.backend
-
-        def compute() -> None:
-            backend.relu(tensor.data)
-
-    duration = cost.elementwise_time(tensor.size, reads=1, writes=1,
-                                     itemsize=tensor.dtype.itemsize)
-    return OpPart(name, "activation", duration, None, 0,
-                  float(tensor.size), compute)
 
 
 def relu_forward(
@@ -371,11 +292,18 @@ def relu_forward(
     name: str = "relu",
 ) -> Event:
     """In-place ReLU (the paper applies sigma in-place on the AHW buffer)."""
-    part = build_relu(engine, cost, tensor, name=name)
-    if part.compute is not None:
-        part.compute()
-    return engine.submit(stream, part.name, part.category, part.duration,
-                         deps=deps, compute=part.compute, flops=part.flops)
+    compute: Optional[Callable[[], None]] = None
+    if tensor.data is not None:
+        backend = engine.backend
+
+        def compute() -> None:
+            backend.relu(tensor.data)
+
+        compute()
+    duration = cost.elementwise_time(tensor.size, reads=1, writes=1,
+                                     itemsize=tensor.dtype.itemsize)
+    return engine.submit(stream, name, "activation", duration, deps=deps,
+                         compute=compute, flops=float(tensor.size))
 
 
 def relu_backward(
@@ -598,59 +526,7 @@ def add_(
                          compute=compute, flops=float(dst.size))
 
 
-# -- fused chains and batched submission (repro.backends tentpole) -------------
-
-
-def _compose_parts(parts: Sequence[OpPart]) -> Optional[Callable[[], None]]:
-    closures = [p.compute for p in parts if p.compute is not None]
-    if not closures:
-        return None
-    if len(closures) == 1:
-        return closures[0]
-
-    def fused_compute() -> None:
-        for fn in closures:
-            fn()
-
-    return fused_compute
-
-
-def submit_chain(
-    engine: Engine,
-    stream: Stream,
-    parts: Sequence[OpPart],
-    deps: Sequence[Event] = (),
-) -> Event:
-    """Submit a back-to-back chain of parts on one stream.
-
-    The eager-side fusion helper: with fusion supported, the chain goes
-    through :meth:`Engine.submit_fused` — one engine call, one composed
-    closure, chained trace events bit-identical to sequential submits.
-    Under a non-trivial fault injector (or a single part) it degrades to
-    op-at-a-time submits, so faults keep per-op granularity.
-
-    Eagerly executes the parts' closures in chain order either way.
-    """
-    for part in parts:
-        if part.compute is not None:
-            part.compute()
-    if len(parts) == 1 or not engine.supports_fusion:
-        event: Optional[Event] = None
-        for i, part in enumerate(parts):
-            event = engine.submit(
-                stream, part.name, part.category, part.duration,
-                deps=deps if i == 0 else (),
-                stage=part.stage, nbytes=part.nbytes,
-                compute=part.compute, flops=part.flops,
-            )
-        return event
-    return engine.submit_fused(
-        stream,
-        [(p.name, p.category, p.duration, p.stage, p.nbytes, p.flops)
-         for p in parts],
-        deps=deps,
-        compute=_compose_parts(parts),
-    )
+# -- batched submission --------------------------------------------------------
 
 
 def gemm_many(
@@ -673,9 +549,9 @@ def gemm_many(
     if not items:
         return []
     backend = engine.backend
-    # Specs are built inline (not via build_gemm) so the batched fast
-    # path pays no per-item OpPart/closure allocation — one of the two
-    # Python dispatch costs this helper exists to remove.
+    # Specs are built inline so the batched path pays no per-item
+    # closure allocation — one of the two Python dispatch costs this
+    # helper exists to remove.
     specs = []
     functional = True
     for stream, cost, a, b, out, deps in items:
@@ -706,7 +582,6 @@ def gemm_many(
                 accumulate=accumulate,
             )
 
-        compute._group = True
         compute()
         # the group closure rides on the first op; replay runs it once at
         # that op's slot (program order of the batch is preserved).
@@ -733,7 +608,7 @@ def build_spmm_group(
     ``None`` when no item is functional.
     """
     backend = engine.backend
-    # inline spec construction: no per-item OpPart/closure allocation.
+    # inline spec construction: no per-item closure allocation.
     specs = []
     group = []
     for stream, cost, tile, dense, out, deps in items:
@@ -765,13 +640,13 @@ def build_spmm_group(
         for tile, dense, out in group:
             backend.spmm(tile, dense.data, out.data, accumulate=accumulate)
 
-    compute._group = True
     return specs, compute
 
 
 def specialize_spmm_group(
     backend,
     items: Sequence[tuple],
+    host_buffer: Callable[[str, Tuple[int, ...], object], np.ndarray],
     accumulate: bool = True,
     shared_dense: Optional[DeviceTensor] = None,
 ) -> Optional[Callable[[], None]]:
@@ -793,6 +668,11 @@ def specialize_spmm_group(
     refreshed contiguous staging buffer instead of each paying a flatten
     copy per call — copies are bit-exact, so the kernel sees the same
     floats either way.
+
+    Staging and strided-output scratch arrays come from ``host_buffer``
+    (:meth:`repro.device.engine.SimContext.host_buffer`): each is only
+    live within one call of the returned closure, so every plan of a
+    context shares one array per shape instead of pinning its own.
     """
     from repro.backends.base import KernelBackend
 
@@ -825,7 +705,8 @@ def specialize_spmm_group(
               and dense.shape == shared_dense.shape
               and shared_dense.data is not None):
             if staging is None:
-                staging = np.empty(shared_dense.shape, dtype=dtype)
+                staging = host_buffer("spmm_staging", shared_dense.shape,
+                                      dtype)
             dense_flat = staging.ravel()
             dense_dyn = None
         else:
@@ -837,7 +718,7 @@ def specialize_spmm_group(
         else:
             # strided out: accumulate into a reused zeroed scratch and
             # add — the same float sequence as spmm_into's fallback.
-            scratch = np.zeros((m, n_vecs), dtype=dtype)
+            scratch = host_buffer("spmm_scratch", (m, n_vecs), dtype)
             target = scratch.ravel()
         recs.append((tile.nnz, matvecs, m, k, n_vecs, indptr, indices, data,
                      dense_dyn, dense_flat, out_arr, scratch, target))
@@ -859,7 +740,6 @@ def specialize_spmm_group(
             if scratch is not None:
                 out_arr += scratch
 
-    compute._group = True
     return compute
 
 
@@ -907,7 +787,7 @@ def relu_many(
     if not items:
         return []
     backend = engine.backend
-    # inline spec construction: no per-item OpPart/closure allocation.
+    # inline spec construction: no per-item closure allocation.
     specs = []
     group = []
     for stream, cost, tensor, deps in items:
@@ -923,7 +803,6 @@ def relu_many(
             for tensor in group:
                 backend.relu(tensor.data)
 
-        compute._group = True
         compute()
         specs[0] = specs[0][:7] + (compute, None, specs[0][9])
     return engine.submit_many(specs)

@@ -176,6 +176,12 @@ class HierarchicalCommunicator(Communicator):
 
     # -- collectives --------------------------------------------------------
 
+    @property
+    def plans_broadcasts(self) -> bool:
+        # the planned broadcast is the flat single rendezvous; across
+        # nodes the broadcast runs as inter + intra phases instead.
+        return not self.is_hierarchical
+
     def broadcast_duration(self, root: int, nbytes: int) -> float:
         if not self.is_hierarchical or self.size <= 1:
             return super().broadcast_duration(root, nbytes)

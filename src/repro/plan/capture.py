@@ -29,28 +29,20 @@ from repro.plan.plan import ExecutionPlan, build_levels
 
 @dataclass
 class _OpRecord:
-    """One captured op (kernel, collective, fused chain, or barrier)."""
+    """One captured op (kernel, collective, or barrier)."""
 
     stream_ids: Tuple[int, ...]
     deps: Tuple[int, ...]
     duration: float
     #: per trace event: (device, stream, name, category, stage, nbytes,
-    #: correlation, chained, part_duration, flops); empty for untraced
-    #: ops (barriers). Plain ops carry ``(False, None)`` in the
-    #: chained/part_duration slots — one entry per participating stream,
-    #: spanning the whole op. Fused ops carry one entry per chained part
-    #: with its own duration; ``chained`` marks parts that start at the
-    #: previous part's end instead of the op's start.
+    #: correlation, flops) — one entry per participating stream, spanning
+    #: the whole op; empty for untraced ops (barriers).
     trace: Tuple[
-        Tuple[str, str, str, str, Optional[int], int, Optional[str],
-              bool, Optional[float], float],
+        Tuple[str, str, str, str, Optional[int], int, Optional[str], float],
         ...,
     ] = ()
     compute: Optional[Callable[[], object]] = None
     is_loss: bool = False
-    #: per-part durations of a fused chain (empty for plain ops); replay
-    #: recomputes the op's end by chaining these from its start.
-    parts: Tuple[float, ...] = ()
 
 
 class PlanCapture:
@@ -148,8 +140,6 @@ class PlanCapture:
                         stage,
                         nbytes,
                         correlation,
-                        False,
-                        None,
                         flops,
                     ),
                 ),
@@ -188,7 +178,7 @@ class PlanCapture:
                 duration=float(duration),
                 trace=tuple(
                     (s.device.name, s.name, name, category, stage, nbytes,
-                     correlation, False, None, flops)
+                     correlation, flops)
                     for s in streams
                 ),
                 compute=compute,
@@ -197,51 +187,6 @@ class PlanCapture:
         for event in events:
             self._event_op[id(event)] = op_index
             self._events.append(event)
-
-    def record_fused(
-        self,
-        stream: Stream,
-        event: Event,
-        parts: Sequence[Tuple[str, str, float, Optional[int], int, float]],
-        deps: Sequence[Event],
-        compute: Optional[Callable[[], object]],
-        correlation: Optional[str] = None,
-    ) -> None:
-        """Record one eagerly fused chain (:meth:`Engine.submit_fused`).
-
-        ``parts`` is ``[(name, category, duration, stage, nbytes, flops),
-        ...]`` in chain order; the op's single completion event marks the
-        last part's end.
-        """
-        sid = self._sid(stream)
-        op_index = len(self._ops)
-        durations = tuple(float(p[2]) for p in parts)
-        self._ops.append(
-            _OpRecord(
-                stream_ids=(sid,),
-                deps=self._dep_ids(deps),
-                duration=float(sum(durations)),
-                trace=tuple(
-                    (
-                        stream.device.name,
-                        stream.name,
-                        p[0],
-                        p[1],
-                        p[3],
-                        p[4],
-                        correlation,
-                        k > 0,
-                        durations[k],
-                        p[5],
-                    )
-                    for k, p in enumerate(parts)
-                ),
-                compute=compute,
-                parts=durations,
-            )
-        )
-        self._event_op[id(event)] = op_index
-        self._events.append(event)
 
     def record_barrier(self, streams: Sequence[Stream]) -> None:
         """Record an engine barrier as a zero-duration, untraced sync op."""
@@ -252,22 +197,11 @@ class PlanCapture:
 
     # -- finalization --------------------------------------------------------
 
-    def finalize(self, fuse: bool = False) -> ExecutionPlan:
-        """Freeze the recording into an immutable :class:`ExecutionPlan`.
-
-        With ``fuse=True`` the :mod:`repro.plan.fuse` peephole first
-        collapses eligible SpMM→GeMM / GeMM→ReLU chains into single
-        fused ops (timeline- and bit-identical; see that module for the
-        eligibility rules).
-        """
+    def finalize(self) -> ExecutionPlan:
+        """Freeze the recording into an immutable :class:`ExecutionPlan`."""
         if self.active:
             raise PlanError("end() the capture before finalizing")
         ops = self._ops
-        trace_order = None
-        if fuse:
-            from repro.plan.fuse import fuse_captured_ops
-
-            ops, trace_order = fuse_captured_ops(ops)
         n_streams = len(self._streams)
         last_on_stream = [-1] * n_streams
         full_deps: List[Tuple[int, ...]] = []
@@ -292,18 +226,12 @@ class PlanCapture:
         for op in ops:
             for entry in op.trace:
                 category = entry[3]
-                # fused chains attribute each part's own duration to its
-                # category; plain ops (entry duration None) span the op.
-                entry_duration = entry[8] if entry[8] is not None else op.duration
                 category_totals[category] = (
-                    category_totals.get(category, 0.0) + entry_duration
+                    category_totals.get(category, 0.0) + op.duration
                 )
                 category_counts[category] = category_counts.get(category, 0) + 1
                 if category == "comm":
                     comm_nbytes += entry[5]
-        fused_parts = {
-            i: op.parts for i, op in enumerate(ops) if op.parts
-        }
         return ExecutionPlan(
             streams=self._streams,
             durations=durations,
@@ -314,6 +242,4 @@ class PlanCapture:
             category_totals=category_totals,
             category_counts=category_counts,
             comm_nbytes=comm_nbytes,
-            fused_parts=fused_parts,
-            trace_order=trace_order,
         )

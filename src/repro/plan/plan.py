@@ -75,15 +75,13 @@ class ExecutionPlan:
         levels: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
         trace_template: Sequence[
             Tuple[int, str, str, str, str, Optional[int], int, Optional[str],
-                  bool, Optional[float], float]
+                  float]
         ],
         closures: Sequence[Tuple[Callable[[], object], bool]],
         last_op_per_stream: Sequence[int],
         category_totals: dict,
         category_counts: Optional[dict] = None,
         comm_nbytes: float = 0.0,
-        fused_parts: Optional[dict] = None,
-        trace_order: Optional[Sequence[int]] = None,
     ):
         self._streams: Tuple[Stream, ...] = tuple(streams)
         self._durations = durations
@@ -95,48 +93,6 @@ class ExecutionPlan:
         self._category_totals = dict(category_totals)
         self._category_counts = dict(category_counts or {})
         self._comm_nbytes = float(comm_nbytes)
-        #: op index -> chained part durations, for fused chains. A fused
-        #: op's end is its start plus its part durations added one at a
-        #: time (the same float adds the eager chain performed), which is
-        #: not the same double as start + sum(parts) — so the timeline
-        #: recomputes those ends explicitly.
-        self._fused_parts = {
-            int(k): tuple(float(d) for d in v)
-            for k, v in (fused_parts or {}).items()
-        }
-        self._fused_by_level: Optional[Tuple] = None
-        if self._fused_parts:
-            per_level = []
-            for idx, _, _ in self._levels:
-                in_level = [i for i in idx.tolist() if i in self._fused_parts]
-                if not in_level:
-                    per_level.append(None)
-                    continue
-                width = max(len(self._fused_parts[i]) for i in in_level)
-                mat = np.zeros((len(in_level), width), dtype=np.float64)
-                for r, i in enumerate(in_level):
-                    p = self._fused_parts[i]
-                    mat[r, : len(p)] = p
-                per_level.append(
-                    (np.asarray(in_level, dtype=np.int64), mat)
-                )
-            self._fused_by_level = tuple(per_level)
-        #: True when any template entry is a chained fused part (replay
-        #: then takes the chaining path instead of the bulk comprehension).
-        self._has_fused_trace = any(
-            entry[9] is not None for entry in self._trace_template
-        )
-        #: template position -> emission rank: fusion makes a chain's
-        #: trace entries contiguous, so replay builds events in template
-        #: order (the chaining arithmetic needs that) and then emits them
-        #: back in the captured eager submission order.
-        self._trace_emit_perm: Optional[List[int]] = None
-        if trace_order is not None:
-            order = list(trace_order)
-            if order != sorted(order):
-                self._trace_emit_perm = sorted(
-                    range(len(order)), key=order.__getitem__
-                )
 
     # -- introspection -------------------------------------------------------
 
@@ -189,16 +145,16 @@ class ExecutionPlan:
     def op_meta(self) -> List[Tuple[str, str, str, str]]:
         """Per-op ``(name, category, device, stream)`` labels.
 
-        Taken from each op's first trace-template entry (a fused op
-        keeps its chain-head label); ops without template entries —
-        plans captured with tracing off — get a positional placeholder.
+        Taken from each op's first trace-template entry; ops without
+        template entries — plans captured with tracing off — get a
+        positional placeholder.
         """
         meta: List[Tuple[str, str, str, str]] = [
             (f"op{i}", "op", "-", "-") for i in range(self.num_ops)
         ]
         seen = [False] * self.num_ops
         for (op, device, stream_name, name, category, _stage, _nbytes,
-             _correlation, _chained, _dur, _flops) in self._trace_template:
+             _correlation, _flops) in self._trace_template:
             if not seen[op]:
                 seen[op] = True
                 meta[op] = (name, category, device, stream_name)
@@ -223,8 +179,7 @@ class ExecutionPlan:
         starts = np.empty(n, dtype=np.float64)
         ends = np.empty(n, dtype=np.float64)
         durations = self._durations
-        fused_by_level = self._fused_by_level
-        for li, (idx, flat_deps, offsets) in enumerate(self._levels):
+        for idx, flat_deps, offsets in self._levels:
             if flat_deps.size == 0:
                 starts[idx] = t0
             elif idx.size == 1:
@@ -232,15 +187,6 @@ class ExecutionPlan:
             else:
                 starts[idx] = np.maximum.reduceat(ends[flat_deps], offsets)
             ends[idx] = starts[idx] + durations[idx]
-            if fused_by_level is not None and fused_by_level[li] is not None:
-                # fused chains: end = ((start + d0) + d1) + ... — the
-                # eager chain's exact float adds (column-wise over the
-                # zero-padded part matrix; +0.0 is exact on the padding).
-                f_idx, parts = fused_by_level[li]
-                e = starts[f_idx]
-                for col in parts.T:
-                    e = e + col
-                ends[f_idx] = e
         return starts, ends
 
     def replay(self, engine: Engine, t0: float) -> ReplayResult:
@@ -270,54 +216,22 @@ class ExecutionPlan:
         # 4. trace regeneration, in bulk.
         emitted = 0
         if engine.record_trace:
-            if not self._has_fused_trace:
-                events = [
-                    TraceEvent(
-                        device=device,
-                        stream=stream_name,
-                        name=name,
-                        category=category,
-                        start=float(starts[op]),
-                        end=float(ends[op]),
-                        stage=stage,
-                        nbytes=nbytes,
-                        correlation=correlation,
-                        flops=flops,
-                    )
-                    for op, device, stream_name, name, category, stage, nbytes,
-                    correlation, _chained, _dur, flops in self._trace_template
-                ]
-            else:
-                # fused chains: chain part end-times sequentially, exactly
-                # as the eager path did when the parts were separate ops.
-                events = []
-                append = events.append
-                prev_end = 0.0
-                for (op, device, stream_name, name, category, stage, nbytes,
-                     correlation, chained, dur, flops) in self._trace_template:
-                    if dur is None:
-                        s = float(starts[op])
-                        e = float(ends[op])
-                    else:
-                        s = prev_end if chained else float(starts[op])
-                        e = s + dur
-                    prev_end = e
-                    append(
-                        TraceEvent(
-                            device=device,
-                            stream=stream_name,
-                            name=name,
-                            category=category,
-                            start=s,
-                            end=e,
-                            stage=stage,
-                            nbytes=nbytes,
-                            correlation=correlation,
-                            flops=flops,
-                        )
-                    )
-            if self._trace_emit_perm is not None:
-                events = [events[k] for k in self._trace_emit_perm]
+            events = [
+                TraceEvent(
+                    device=device,
+                    stream=stream_name,
+                    name=name,
+                    category=category,
+                    start=float(starts[op]),
+                    end=float(ends[op]),
+                    stage=stage,
+                    nbytes=nbytes,
+                    correlation=correlation,
+                    flops=flops,
+                )
+                for op, device, stream_name, name, category, stage, nbytes,
+                correlation, flops in self._trace_template
+            ]
             engine.record_events(events)
             emitted = len(events)
         end_time = float(ends.max())

@@ -1,8 +1,8 @@
 """Integration tests: the training-time remote-embedding cache.
 
 Covers the ISSUE acceptance points end to end: bitwise transparency at
-``staleness=0`` on every execution path (eager, batched submit, plan
-capture/replay), accuracy parity under bounded staleness, plan
+``staleness=0`` on every execution path (the eager stage-plan fast path,
+the validated per-stage loop a fault plan forces, plan capture/replay), accuracy parity under bounded staleness, plan
 invalidation when the cache changes mid-capture, telemetry export, and
 a fast smoke of the broadcast-byte savings the cachebench benchmark
 measures at full scale.
@@ -16,6 +16,7 @@ from repro.datasets import planted_partition_dataset
 from repro.datasets.loader import Dataset
 from repro.hardware import dgx1
 from repro.nn import ReferenceGCN
+from repro.resilience import DeviceFailure, FaultInjector, FaultPlan
 from repro.telemetry import Telemetry
 
 SEED = 11
@@ -71,10 +72,14 @@ def _weights_after(dataset, model, epochs, **kwargs):
     "mode_kwargs",
     [
         {},
-        {"batched_submit": True},
+        # a fault plan that never fires still forces the validated
+        # per-stage broadcast loop instead of the stage-plan fast path.
+        {"fault_injector": FaultInjector(
+            FaultPlan(device_failures=(DeviceFailure(rank=0, time=1e9),))
+        )},
         {"capture_epochs": True},
     ],
-    ids=["eager", "batched", "capture"],
+    ids=["eager", "per_op", "capture"],
 )
 def test_staleness_zero_is_bitwise_on_every_path(
     small_dataset, small_model, mode_kwargs

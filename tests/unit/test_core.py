@@ -1,5 +1,8 @@
 """Core package: order policy, partitioner, distributed SpMM, stats."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -201,6 +204,43 @@ class TestDistributedSpMM:
             distributed_spmm(
                 ctx, comm, costs, tiles, sources[:1], outputs, managers
             )
+
+
+def test_stage_plans_share_host_scratch():
+    """Stage plans keep one staging/scratch array per distinct shape.
+
+    Narrow layer windows of the wide shared buffers are strided, so the
+    prebound SpMM closures need contiguous staging copies and scratch
+    outputs; the plans built by one ``evaluate()`` must retain those
+    once per ``(role, shape, dtype)``, not once per stage and rank.
+    """
+    ds = load_dataset("arxiv", scale=0.05, seed=1)
+    model = GCNModelSpec.build(ds.d0, 256, ds.num_classes, 3)
+    trainer = MGGCNTrainer(
+        ds, model, machine=dgx1(), num_gpus=4,
+        config=TrainerConfig(capture_epochs=True),
+    )
+    # a captured epoch runs the validated loop: it warms every buffer
+    # and per-tile cache without building any stage plan.
+    trainer.train_epoch()
+    assert not trainer.ctx.spmm_plan_cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trainer.evaluate()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trainer.ctx.spmm_plan_cache
+    shared = trainer.ctx._host_buffers
+    shapes = {(role, shape) for role, shape, _dtype in shared}
+    assert len(shapes) == len(shared)
+    shared_bytes = sum(buf.nbytes for buf in shared.values())
+    assert shared_bytes > 0
+    # plan metadata (specs, closures, views) is small next to the arrays.
+    assert retained <= shared_bytes + 512 * 1024, (retained, shared_bytes)
 
 
 class TestStats:

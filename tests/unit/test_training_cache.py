@@ -187,29 +187,6 @@ def test_epoch_counters_track_payloads():
 # -- shared LRU core --------------------------------------------------------
 
 
-def test_serve_cache_module_is_a_shim():
-    import importlib
-    import warnings
-
-    from repro.cache import lru
-    import repro.serve.cache as serve_cache
-
-    # the shim warns at import time; reload so the warning fires even if
-    # another test imported the module first.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        serve_cache = importlib.reload(serve_cache)
-    assert any(
-        issubclass(w.category, DeprecationWarning)
-        and "repro.cache.lru" in str(w.message)
-        for w in caught
-    )
-
-    assert serve_cache.EmbeddingCache is lru.EmbeddingCache
-    assert serve_cache.CacheStats is lru.CacheStats
-    assert serve_cache.pin_by_degree is lru.pin_by_degree
-
-
 def test_lru_cache_still_behaves():
     degrees = np.array([5, 1, 9, 3])
     pinned = pin_by_degree(degrees, 2)
