@@ -573,22 +573,6 @@ class Communicator:
             event_names=event_names,
         )
 
-    def broadcast_pipelined(
-        self,
-        root: int,
-        src: DeviceTensor,
-        dsts: Mapping[int, DeviceTensor],
-        start_floor: float,
-        stage: Optional[int] = None,
-        name: str = "broadcast",
-    ) -> Dict[int, Event]:
-        """One-shot planned broadcast (plan + replay in a single call)."""
-        return self.broadcast_replay(
-            self.plan_broadcast(root, src, dsts, name=name),
-            start_floor,
-            stage=stage,
-        )
-
     def allreduce(
         self,
         tensors: Mapping[int, DeviceTensor],

@@ -70,7 +70,7 @@ def distributed_spmm(
     ``i``'s result rows (zero-initialised here via the first stage's
     ``accumulate=False``). Each stage's per-rank SpMMs go through
     :func:`~repro.kernels.ops.spmm_many` — one engine call and one
-    backend group dispatch per stage.
+    group closure per stage.
 
     ``cache`` intercepts each stage's broadcast with the training-time
     remote-tile cache: on serve epochs only the uncached rows travel
@@ -336,11 +336,14 @@ def _build_stage_plan(
             overlap_comm_time=next_bcast_time,
         )
         if compute is not None:
-            # every rank's dense operand holds the stage root's tile
-            # (rank j reads src itself, the others their broadcast copy).
+            # without a cache copy closure every rank's dense operand
+            # holds the stage root's tile (rank j reads src itself, the
+            # others their broadcast copy). A cache copy closure fills
+            # the broadcast buffers with the replica's possibly stale
+            # rows instead, so each rank must read its own buffer.
             fast_compute = specialize_spmm_group(
-                engine.backend, items, ctx.host_buffer, accumulate=(j > 0),
-                shared_dense=src,
+                items, ctx.host_buffer, accumulate=(j > 0),
+                shared_dense=src if copy_fn is None else None,
             )
             if fast_compute is not None:
                 compute = fast_compute

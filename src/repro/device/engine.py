@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import KernelBackend, get_backend
+from repro.backends import KernelBackend
 from repro.device.device import VirtualGPU
 from repro.device.stream import Event, Stream
 from repro.device.tensor import Mode
@@ -69,8 +69,12 @@ class Engine:
     scheduling arithmetic is bit-identical to a fault-free engine.
     """
 
+    #: the :class:`repro.backends.KernelBackend` kernels pull their
+    #: array-level primitives from (stateless, so every engine shares it).
+    backend = KernelBackend()
+
     def __init__(self, record_trace: bool = True, fault_injector=None,
-                 telemetry=None, backend=None):
+                 telemetry=None):
         self.record_trace = record_trace
         self.fault_injector = fault_injector
         self.trace: List[TraceEvent] = []
@@ -82,13 +86,6 @@ class Engine:
         #: anything with ``on_op(event)``); every submitted op is
         #: forwarded so metrics accumulate even with tracing off.
         self.telemetry = telemetry
-        #: the :class:`repro.backends.KernelBackend` kernels pull their
-        #: array-level primitives from; a name or an instance.
-        if backend is None:
-            backend = "numpy"
-        self.backend: KernelBackend = (
-            get_backend(backend) if isinstance(backend, str) else backend
-        )
         #: incremental per-category op seconds, kept in lockstep with
         #: ``trace`` (only accumulates while tracing, like the scan the
         #: totals replace).
@@ -173,14 +170,10 @@ class Engine:
 
         Each spec is ``(stream, name, category, duration, deps, stage,
         nbytes, compute, correlation, flops)`` — the arguments of
-        :meth:`submit` in positional form. Start times for the whole
-        batch are computed with one ``np.maximum.reduceat`` over the
-        flattened (stream base, dep times) segments — the same trick
-        :meth:`repro.plan.plan.ExecutionPlan.compute_timeline` uses — so
-        a dependency-levelled batch pays one engine call instead of one
-        Python call per op. Specs may repeat a stream; later specs on the
-        same stream are serialised after earlier ones exactly as
-        sequential submits would be.
+        :meth:`submit` in positional form. A per-rank loop then pays one
+        engine call instead of one Python call per op. Specs may repeat
+        a stream; later specs on the same stream are serialised after
+        earlier ones exactly as sequential submits would be.
 
         Bit-identical to calling :meth:`submit` per spec in order (and
         falls back to exactly that under a non-trivial fault injector,
@@ -194,47 +187,23 @@ class Engine:
                             flops=s[9])
                 for s in specs
             ]
-        n = len(specs)
-        if n == 0:
-            return []
+        # every start floor is read before any stream advances; max is
+        # exact, so the floats match sequential submits.
         durations: List[float] = []
-        if n < 64:
-            # small batches: a scalar max loop beats the ndarray setup
-            # cost of the reduceat path (identical floats — max is exact
-            # under any evaluation order).
-            starts = []
-            for spec in specs:
-                duration = spec[3]
-                if duration < 0:
-                    raise ValueError(
-                        f"op {spec[1]!r}: negative duration {duration}"
-                    )
-                durations.append(duration)
-                s = spec[0].consume_waits()
-                for dep in spec[4]:
-                    t = dep.require_time()
-                    if t > s:
-                        s = t
-                starts.append(s)
-            ends = [s + d for s, d in zip(starts, durations)]
-        else:
-            times: List[float] = []
-            offsets = np.empty(n, dtype=np.intp)
-            for i, spec in enumerate(specs):
-                duration = spec[3]
-                if duration < 0:
-                    raise ValueError(
-                        f"op {spec[1]!r}: negative duration {duration}"
-                    )
-                offsets[i] = len(times)
-                times.append(spec[0].consume_waits())
-                for dep in spec[4]:
-                    times.append(dep.require_time())
-                durations.append(duration)
-            starts = np.maximum.reduceat(
-                np.asarray(times, dtype=np.float64), offsets
-            )
-            ends = starts + np.asarray(durations, dtype=np.float64)
+        starts: List[float] = []
+        for spec in specs:
+            duration = spec[3]
+            if duration < 0:
+                raise ValueError(
+                    f"op {spec[1]!r}: negative duration {duration}"
+                )
+            durations.append(float(duration))
+            s = spec[0].consume_waits()
+            for dep in spec[4]:
+                t = dep.require_time()
+                if t > s:
+                    s = t
+            starts.append(s)
         capture = self.capture
         telemetry = self.telemetry
         trace_on = self.record_trace
@@ -243,20 +212,18 @@ class Engine:
         events: List[Event] = []
         for i, spec in enumerate(specs):
             stream = spec[0]
-            start = float(starts[i])
+            start = starts[i]
             if stream.ready_time > start:
                 # this stream already advanced earlier in the batch
                 start = stream.ready_time
-                end = start + float(durations[i])
-            else:
-                end = float(ends[i])
+            end = start + durations[i]
             stream.ready_time = end
             event = Event(name=spec[1])
             event.time = end
             events.append(event)
             if capture is not None:
                 capture.record_kernel(
-                    stream, event, spec[1], spec[2], float(durations[i]),
+                    stream, event, spec[1], spec[2], durations[i],
                     spec[4], spec[5], spec[6], spec[7], correlation=spec[8],
                     flops=spec[9],
                 )
@@ -408,7 +375,6 @@ class SimContext:
         record_trace: bool = True,
         fault_injector=None,
         telemetry=None,
-        kernel_backend=None,
     ):
         if num_gpus is None:
             num_gpus = machine.num_gpus
@@ -425,7 +391,6 @@ class SimContext:
             record_trace=record_trace,
             fault_injector=fault_injector,
             telemetry=telemetry,
-            backend=kernel_backend,
         )
         self.topology = Topology(machine, fault_injector=fault_injector)
         self.devices: List[VirtualGPU] = [

@@ -19,9 +19,9 @@ Closures dereference tensor payloads (``t.data``) at call time, so they
 stay valid as long as buffers are mutated in place (the invariant the
 shared-buffer scheme already relies on).
 
-Array-level math is delegated to the engine's pluggable
-:class:`~repro.backends.KernelBackend` (``engine.backend``), so backends
-swap without touching any call site. Beyond the single-op kernels, this
+Array-level math is delegated to the engine's shared
+:class:`~repro.backends.KernelBackend` (``engine.backend``), the one
+kernel set every path calls. Beyond the single-op kernels, this
 module provides *batched* submission (:func:`gemm_many` /
 :func:`spmm_many` / :func:`relu_many` /
 :func:`gemm_relu_backward_many` — one ``Engine.submit_many`` call and one
@@ -540,9 +540,8 @@ def gemm_many(
     """A per-rank GeMM loop as one engine call.
 
     ``items`` is ``[(stream, cost, a, b, out, deps), ...]`` sharing the
-    flag set. Functionally the whole group runs through
-    ``backend.gemm_batch`` — one stacked ``np.matmul`` on the batched
-    BLAS backend — and is submitted with one
+    flag set. Functionally one group closure runs every item's
+    ``backend.gemm``, and the group is submitted with one
     :meth:`Engine.submit_many`. Timing, events and trace are
     bit-identical to calling :func:`gemm` per item in order.
     """
@@ -575,12 +574,11 @@ def gemm_many(
         triples = [(a, b, out) for _, _, a, b, out, _ in items]
 
         def compute() -> None:
-            backend.gemm_batch(
-                [(a.data, b.data, out.data) for a, b, out in triples],
-                transpose_a=transpose_a,
-                transpose_b=transpose_b,
-                accumulate=accumulate,
-            )
+            for a, b, out in triples:
+                backend.gemm(a.data, b.data, out.data,
+                             transpose_a=transpose_a,
+                             transpose_b=transpose_b,
+                             accumulate=accumulate)
 
         compute()
         # the group closure rides on the first op; replay runs it once at
@@ -644,7 +642,6 @@ def build_spmm_group(
 
 
 def specialize_spmm_group(
-    backend,
     items: Sequence[tuple],
     host_buffer: Callable[[str, Tuple[int, ...], object], np.ndarray],
     accumulate: bool = True,
@@ -658,9 +655,8 @@ def specialize_spmm_group(
     contiguity checks, flat views) resolved once. Meant for the
     epoch-invariant stage plans of :mod:`repro.core.spmm_mg`, whose
     operand buffers are allocation-stable across epochs. Returns ``None``
-    when any item cannot be prebound (a backend overriding ``spmm``,
-    symbolic operands, no compiled kernel, dtype mismatch) — callers
-    keep the generic closure.
+    when any item cannot be prebound (symbolic operands, no compiled
+    kernel, dtype mismatch) — callers keep the generic closure.
 
     ``shared_dense`` marks every item's dense operand as holding the same
     values as that tensor (the broadcast-stage invariant: each rank reads
@@ -674,10 +670,6 @@ def specialize_spmm_group(
     live within one call of the returned closure, so every plan of a
     context shares one array per shape instead of pinning its own.
     """
-    from repro.backends.base import KernelBackend
-
-    if type(backend).spmm is not KernelBackend.spmm:
-        return None  # custom kernel: must stay on the dispatch path
     recs = []
     staging = None
     for _stream, _cost, tile, dense, out, _deps in items:

@@ -93,9 +93,6 @@ class ServingConfig:
     max_wait: float = 1e-3
     fault_plan: FaultPlan = field(default_factory=FaultPlan.empty)
     record_trace: bool = True
-    #: kernel backend name (:mod:`repro.backends`) the functional
-    #: serving math routes through — same registry as training.
-    kernel_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.num_gpus < 1:
@@ -203,7 +200,6 @@ class ServingEngine:
             mode=Mode.FUNCTIONAL,
             record_trace=config.record_trace,
             telemetry=telemetry,
-            kernel_backend=config.kernel_backend,
         )
         self.cost = CostModel(config.machine.gpu)
         self.cache = EmbeddingCache(

@@ -120,6 +120,38 @@ def test_stale_serving_keeps_accuracy_parity(
     assert cached.training_cache.total.hit_rows > 0
 
 
+@pytest.mark.parametrize("staleness", [1, 2])
+def test_stale_serving_is_identical_on_every_path(
+    parity_dataset, parity_model, staleness
+):
+    """Every execution path reads the same (stale) replica rows on serve
+    epochs: the eager stage plans must not substitute the root's fresh
+    tile for the rows the cache scattered into each rank's buffer."""
+    per_op_plan = FaultPlan(device_failures=(DeviceFailure(rank=0, time=1e9),))
+    runs = {}
+    for path, mode_kwargs in (
+        ("eager", {}),
+        ("per_op", {"fault_injector": FaultInjector(per_op_plan)}),
+        ("capture", {"capture_epochs": True}),
+    ):
+        trainer = _trainer(
+            parity_dataset,
+            parity_model,
+            cache_staleness_epochs=staleness,
+            cache_budget_bytes=10**9,
+            **mode_kwargs,
+        )
+        losses = [trainer.train_epoch().loss for _ in range(6)]
+        runs[path] = (losses, trainer.get_weights())
+        assert trainer.training_cache.total.hit_rows > 0
+    want_losses, want_weights = runs["per_op"]
+    for path in ("eager", "capture"):
+        losses, weights = runs[path]
+        assert losses == want_losses, path
+        for got, want in zip(weights, want_weights):
+            assert np.array_equal(got, want), path
+
+
 def test_evict_mid_capture_invalidates_plan(small_dataset, small_model):
     base = _weights_after(small_dataset, small_model, 5, capture_epochs=True)
     trainer = _trainer(

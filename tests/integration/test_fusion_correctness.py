@@ -358,3 +358,42 @@ class TestEngineFusedSubmission:
 
     def test_submit_many_empty_batch(self):
         assert Engine().submit_many([]) == []
+
+    def test_submit_many_large_batch_matches_sequential(self):
+        """72 specs over 8 streams, each stream repeated, with deps on
+        events of other streams and a pending stream wait."""
+
+        def setup():
+            engine = Engine()
+            devs = [VirtualGPU(V100, rank=r) for r in range(4)]
+            prelude = [
+                engine.submit(d.comm_stream, f"bcast{r}", "comm", 1.0 + r)
+                for r, d in enumerate(devs)
+            ]
+            devs[2].compute_stream.wait_event(prelude[3])
+            streams = [s for d in devs for s in (d.compute_stream,
+                                                 d.comm_stream)]
+            specs = []
+            for i in range(72):
+                deps = ((prelude[i % 4],), (prelude[(i + 1) % 4],
+                                            prelude[(i + 2) % 4]), ())[i % 3]
+                specs.append((streams[(i * 5) % 8], f"op{i}", "gemm",
+                              0.25 * (1 + i % 7), deps, i % 4 or None,
+                              8 * i, None, None, float(i)))
+            return engine, streams, specs
+
+        engine, streams, specs = setup()
+        events = engine.submit_many(specs)
+        want_engine, want_streams, want_specs = setup()
+        want = [
+            want_engine.submit(s[0], s[1], s[2], s[3], deps=s[4], stage=s[5],
+                               nbytes=s[6], compute=s[7], correlation=s[8],
+                               flops=s[9])
+            for s in want_specs
+        ]
+        assert len(events) >= 64
+        assert [e.time for e in events] == [e.time for e in want]
+        assert [e.name for e in events] == [e.name for e in want]
+        assert engine.trace == want_engine.trace
+        assert ([s.ready_time for s in streams]
+                == [s.ready_time for s in want_streams])
