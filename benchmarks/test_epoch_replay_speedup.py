@@ -1,14 +1,14 @@
 """Epoch capture & replay: driver wall-clock speedup and amortization.
 
 The sim-graph plan (:mod:`repro.plan`) is the simulator's analogue of
-CUDA Graphs: epoch 1 runs eagerly under capture, later epochs replay
-the recorded plan — same numerics, same simulated clock, but without
-re-running the Python scheduling layer (cost model, shape checks,
-rendezvous validation, closure construction). This file measures the
-*host* wall-clock of the driver, not simulated seconds, on a
-scheduling-dominated configuration (many small tiles: 8 GPUs x 4
-layers with a narrow hidden width), and emits ``BENCH_epoch_replay.json``
-with:
+CUDA Graphs: epoch 1 warms up eagerly, epoch 2 runs eagerly under
+capture, later epochs replay the recorded plan — same numerics, same
+simulated clock, but without re-running the Python scheduling layer
+(cost model, shape checks, rendezvous validation, closure
+construction). This file measures the *host* wall-clock of the driver,
+not simulated seconds, on a scheduling-dominated configuration (many
+small tiles: 8 GPUs x 4 layers with a narrow hidden width), and emits
+``BENCH_epoch_replay.json`` with:
 
 * eager vs replay per-epoch wall-clock (median) on both the serialised
   and overlapped schedules, with the >= 2x speedup assertion the issue
@@ -92,9 +92,11 @@ def test_replay_speedup(once, setup):
             replay = MGGCNTrainer(
                 ds, model, num_gpus=NUM_GPUS, config=_config(overlap, True)
             )
-            # warm the numpy/scipy caches with one eager epoch, and time
-            # the capture epoch itself (the one-off overhead).
-            eager.train_epoch()
+            # two untimed epochs each: they warm the numpy/scipy caches,
+            # and the replay trainer's second one is the capture epoch,
+            # timed as the one-off overhead.
+            eager.fit(2)
+            replay.train_epoch()  # warm-up
             t0 = time.perf_counter()
             replay.train_epoch()  # capture
             capture_s = time.perf_counter() - t0

@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--no-permute", action="store_true")
     train.add_argument("--no-overlap", action="store_true")
     train.add_argument("--capture", action="store_true",
-                       help="capture epoch 1 into a plan and replay the rest")
+                       help="capture epoch 2 into a plan and replay the rest")
 
     exp = sub.add_parser("experiment", help="run one paper table/figure driver")
     exp.add_argument("name", choices=sorted(EXPERIMENTS))

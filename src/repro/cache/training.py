@@ -19,11 +19,14 @@ re-captured from it (write-through) — with ``staleness = 0`` every
 epoch refreshes and training is bit-exact with the uncached run, which
 is what the parity tests pin down.
 
-Epoch plans and the stage-plan fast path key on :meth:`plan_token`: the
-token changes whenever the cache phase flips (refresh ↔ serve) or the
-resident contents change (admission, fill, eviction, :meth:`clear`),
-so every captured schedule is invalidated the moment its payloads or
-copy closures stop describing the epoch.
+Captured schedules key on the cache's ``generation`` and ``phase``.
+The generation changes whenever the resident contents change
+(admission, fill, eviction, :meth:`clear`); it is part of the trainer's
+plan signature, so every captured epoch plan is invalidated the moment
+its payloads or copy closures stop describing the epoch. The phase
+(refresh ↔ serve) selects which of the trainer's per-phase plans an
+epoch replays. The eager stage-plan fast path keys on
+:meth:`plan_token`, which carries both.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from repro.cache.policy import CachePolicy
 from repro.errors import ConfigurationError
 
-#: phase names; the token and the plan caches key on them.
+#: phase names; the trainer keeps one captured plan per phase.
 REFRESH = "refresh"
 SERVE = "serve"
 
@@ -116,7 +119,8 @@ class TrainingTileCache:
             None if stage_scores is None else list(stage_scores)
         )
         self._entries: Dict[Tuple[str, int], _StageEntry] = {}
-        #: bumped on any resident-content change; part of the plan token.
+        #: bumped on any resident-content change; part of the trainer's
+        #: plan signature.
         self.generation = 0
         self._epoch = -1
         self.phase = REFRESH
@@ -137,7 +141,7 @@ class TrainingTileCache:
         return self.phase
 
     def plan_token(self) -> Tuple[int, str]:
-        """Identity of the cache state a captured schedule depends on."""
+        """Identity of the cache state a stage plan depends on."""
         return (self.generation, self.phase)
 
     def clear(self) -> int:
@@ -287,7 +291,7 @@ class TrainingTileCache:
         the miss rows plus the (possibly stale) replica rows.
 
         Byte/row accounting happens *inside* the closure: replayed
-        schedules (stage plans, sim-graphs) run the closure without
+        schedules (stage plans, epoch plans) run the closure without
         re-planning, and the counters must follow the data movement.
         """
         dsts = tuple(dsts)

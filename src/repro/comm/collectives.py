@@ -302,6 +302,7 @@ class Communicator:
                     nbytes=nbytes,
                     compute=compute,
                     flops=flops,
+                    link_class=self.link_class,
                 )
             return events
         return self._faulty_rendezvous(

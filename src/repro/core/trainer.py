@@ -44,7 +44,7 @@ from repro.config import FLOAT_SIZE
 from repro.nn.buffers import SharedBufferManager
 from repro.nn.init import init_weights
 from repro.nn.model import GCNModelSpec
-from repro.plan import PlanCapture, PlanStats
+from repro.plan import ExecutionPlan, PlanCapture, PlanStats
 from repro.core.order import ComputeOrder, broadcast_width, choose_forward_order
 from repro.core.partitioner import (
     PARTITION_STRATEGIES,
@@ -81,10 +81,10 @@ class TrainerConfig:
     fault_injector: Optional[object] = None
     #: per-collective watchdog, seconds (None = no timeout detection).
     collective_timeout: Optional[float] = None
-    #: capture epoch 1 into an execution plan (:mod:`repro.plan`) and
-    #: replay later epochs with near-zero scheduling overhead. Auto
-    #: falls back to eager while a fault plan is active, and recaptures
-    #: when the world changes (see :meth:`MGGCNTrainer.train_epoch`).
+    #: capture a repeated epoch into an execution plan (:mod:`repro.plan`)
+    #: and replay later epochs with near-zero scheduling overhead. Falls
+    #: back to eager while a fault plan is active, and recaptures when
+    #: the world changes (see :meth:`MGGCNTrainer.train_epoch`).
     capture_epochs: bool = False
     #: route every collective through the node-hierarchical communicator
     #: (:class:`repro.parallel.hierarchy.HierarchicalCommunicator`):
@@ -267,7 +267,10 @@ class MGGCNTrainer:
         #: live toggle for epoch capture & replay (seeded from the
         #: config; the training loop may flip it on an existing trainer).
         self.capture_epochs = self.config.capture_epochs
-        self._plan = None
+        #: captured plans, one per cache phase (key None without a cache).
+        self._plans: Dict[Optional[str], ExecutionPlan] = {}
+        #: plan signature of the current world; None until a warm-up
+        #: epoch has run under it.
         self._plan_sig = None
         self.plan_stats = PlanStats()
 
@@ -534,21 +537,21 @@ class MGGCNTrainer:
     def train_epoch(self) -> EpochStats:
         """One full-batch epoch; returns its stats.
 
-        With ``capture_epochs`` on, the first eligible epoch is captured
-        into an :class:`~repro.plan.ExecutionPlan` and later epochs are
+        With ``capture_epochs`` on, the first epoch under a plan
+        signature (partitioning, model dims, schedule flags, cache
+        generation) runs eagerly as a warm-up, the second is captured
+        into an :class:`~repro.plan.ExecutionPlan`, and later epochs are
         replayed from it (bit-identical trace, loss, and weights; see
-        ``docs/performance.md``). The plan is bypassed/invalidated when a
-        fault plan is active, and recaptured when the world signature
-        (partitioning, model dims, schedule flags) changes.
+        ``docs/performance.md``). A signature change drops every plan
+        and warms up again; an active fault plan forces eager epochs.
 
         With the training cache enabled, the epoch counter advances here
         (phase: refresh vs serve) and forward broadcasts go through the
         cache for the duration of the epoch; the per-epoch hit/byte
         counters are flushed to telemetry (when a hub is attached) after
-        the epoch. At ``cache_staleness_epochs > 0`` the cache phase is
-        part of the plan signature, so capture-mode epochs recapture on
-        every phase flip — correct but without replay savings; see
-        ``docs/caching.md``.
+        the epoch. The trainer keeps one plan per cache phase, so at
+        ``cache_staleness_epochs > 0`` both the refresh and the serve
+        schedule replay; see ``docs/caching.md``.
         """
         if self.training_cache is not None:
             self.training_cache.begin_epoch()
@@ -562,19 +565,23 @@ class MGGCNTrainer:
         return self._train_epoch_planned()
 
     def _train_epoch_planned(self) -> EpochStats:
-        """Capture/replay dispatch (the pre-cache ``train_epoch`` body)."""
+        """Warm-up/capture/replay dispatch (see :meth:`train_epoch`)."""
         if self.capture_epochs:
             if not self._capture_allowed():
                 # never replay through faults — they must surface eagerly.
                 self.invalidate_plan()
-                self.plan_stats.eager_epochs += 1
-                return self._train_epoch_eager()
-            sig = self._plan_signature()
-            if self._plan is not None and sig != self._plan_sig:
+            else:
+                sig = self._plan_signature()
+                if sig == self._plan_sig:
+                    phase = (None if self.training_cache is None
+                             else self.training_cache.phase)
+                    plan = self._plans.get(phase)
+                    if plan is None:
+                        return self._capture_epoch(phase)
+                    return self._replay_epoch(plan)
+                # a new world: drop every plan and warm up eagerly.
                 self.invalidate_plan()
-            if self._plan is None:
-                return self._capture_epoch(sig)
-            return self._replay_epoch()
+                self._plan_sig = sig
         self.plan_stats.eager_epochs += 1
         return self._train_epoch_eager()
 
@@ -588,8 +595,8 @@ class MGGCNTrainer:
         t1 = self.ctx.synchronize()
         return self._finish_epoch(t0, t1, loss, trace_start)
 
-    def _capture_epoch(self, sig) -> EpochStats:
-        """Run one eager epoch while recording it into a plan."""
+    def _capture_epoch(self, phase: Optional[str]) -> EpochStats:
+        """Run one eager epoch while recording it into ``phase``'s plan."""
         t0 = self.ctx.synchronize()
         trace_start = len(self.ctx.engine.trace)
         capture = PlanCapture(self.ctx.engine)
@@ -601,19 +608,18 @@ class MGGCNTrainer:
         finally:
             capture.end()
         t1 = self.ctx.synchronize()
-        self._plan = capture.finalize()
-        self._plan_sig = sig
+        self._plans[phase] = capture.finalize()
         self.plan_stats.captures += 1
         return self._finish_epoch(t0, t1, loss, trace_start)
 
-    def _replay_epoch(self) -> EpochStats:
-        """Re-execute the captured plan instead of eager scheduling."""
+    def _replay_epoch(self, plan: ExecutionPlan) -> EpochStats:
+        """Re-execute a captured plan instead of eager scheduling."""
         t0 = self.ctx.synchronize()
         trace_start = len(self.ctx.engine.trace)
         # _backward normally advances the Adam step; the captured closures
         # read it through their callable ``t``.
         self._adam_t += 1
-        result = self._plan.replay(self.ctx.engine, t0)
+        result = plan.replay(self.ctx.engine, t0)
         t1 = self.ctx.synchronize()
         self.plan_stats.replays += 1
         loss = (
@@ -672,7 +678,9 @@ class MGGCNTrainer:
         Weights and Adam state are *not* part of the signature — closures
         read them in place — but the partitioning, tensor geometry, and
         schedule-shaping flags are: any of them changing means the
-        captured op DAG no longer describes the epoch.
+        captured op DAG no longer describes the epoch. So is the
+        training cache's generation (its resident contents); its phase
+        is not — the phase selects which per-phase plan an epoch uses.
         """
         P = self.ctx.num_gpus
         return (
@@ -686,16 +694,15 @@ class MGGCNTrainer:
             self.config.hierarchical_collectives,
             self.config.partition_strategy,
             None if self.training_cache is None
-            else self.training_cache.plan_token(),
+            else self.training_cache.generation,
             self.mode,
         )
 
     def invalidate_plan(self) -> None:
-        """Drop the captured plan (next eligible epoch recaptures)."""
-        if self._plan is not None:
-            self._plan = None
-            self._plan_sig = None
-            self.plan_stats.invalidations += 1
+        """Drop every captured plan; the next epoch warms up again."""
+        self.plan_stats.invalidations += len(self._plans)
+        self._plans.clear()
+        self._plan_sig = None
 
     def fit(self, epochs: int) -> List[EpochStats]:
         """Train ``epochs`` epochs; returns per-epoch stats."""

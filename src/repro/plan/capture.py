@@ -43,6 +43,9 @@ class _OpRecord:
     ] = ()
     compute: Optional[Callable[[], object]] = None
     is_loss: bool = False
+    #: link tier of a collective (``Communicator.link_class``); None for
+    #: kernels and barriers.
+    link: Optional[str] = None
 
 
 class PlanCapture:
@@ -163,11 +166,14 @@ class PlanCapture:
         category: str = "comm",
         correlation: Optional[str] = None,
         flops: float = 0.0,
+        link_class: Optional[str] = None,
     ) -> None:
         """Record one rendezvous op spanning every participant's stream.
 
         ``streams``/``events`` are aligned, in the communicator's rank
         order — the same order the eager path records trace events in.
+        ``link_class`` is the link tier the eager path accounts the
+        collective's traffic on; replay accounts it there too.
         """
         sids = tuple(self._sid(s) for s in streams)
         op_index = len(self._ops)
@@ -182,6 +188,7 @@ class PlanCapture:
                     for s in streams
                 ),
                 compute=compute,
+                link=link_class,
             )
         )
         for event in events:
@@ -220,18 +227,23 @@ class PlanCapture:
         closures = [
             (op.compute, op.is_loss) for op in ops if op.compute is not None
         ]
-        category_totals: Dict[str, float] = {}
-        category_counts: Dict[str, int] = {}
-        comm_nbytes = 0.0
+        # the telemetry an eager epoch adds, per trace event (on_op) and
+        # per collective (on_comm), summed once here for every replay.
+        op_totals: Dict[Tuple[str, str], Tuple[int, float]] = {}
+        flops = 0.0
+        nbytes = 0.0
+        link_totals: Dict[str, Tuple[float, float]] = {}
         for op in ops:
             for entry in op.trace:
-                category = entry[3]
-                category_totals[category] = (
-                    category_totals.get(category, 0.0) + op.duration
-                )
-                category_counts[category] = category_counts.get(category, 0) + 1
-                if category == "comm":
-                    comm_nbytes += entry[5]
+                key = (entry[3], entry[0])
+                count, seconds = op_totals.get(key, (0, 0.0))
+                op_totals[key] = (count + 1, seconds + op.duration)
+                nbytes += entry[5]
+                flops += entry[7]
+            if op.link is not None and op.trace:
+                link_bytes, link_seconds = link_totals.get(op.link, (0.0, 0.0))
+                link_totals[op.link] = (link_bytes + op.trace[0][5],
+                                        link_seconds + op.duration)
         return ExecutionPlan(
             streams=self._streams,
             durations=durations,
@@ -239,7 +251,8 @@ class PlanCapture:
             trace_template=trace_template,
             closures=closures,
             last_op_per_stream=last_on_stream,
-            category_totals=category_totals,
-            category_counts=category_counts,
-            comm_nbytes=comm_nbytes,
+            op_totals=op_totals,
+            flops=flops,
+            nbytes=nbytes,
+            link_totals=link_totals,
         )

@@ -26,7 +26,7 @@ bulk from a pre-built template.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,9 +79,10 @@ class ExecutionPlan:
         ],
         closures: Sequence[Tuple[Callable[[], object], bool]],
         last_op_per_stream: Sequence[int],
-        category_totals: dict,
-        category_counts: Optional[dict] = None,
-        comm_nbytes: float = 0.0,
+        op_totals: Dict[Tuple[str, str], Tuple[int, float]],
+        flops: float = 0.0,
+        nbytes: float = 0.0,
+        link_totals: Optional[Dict[str, Tuple[float, float]]] = None,
     ):
         self._streams: Tuple[Stream, ...] = tuple(streams)
         self._durations = durations
@@ -90,9 +91,14 @@ class ExecutionPlan:
         self._trace_template = tuple(trace_template)
         self._closures = tuple(closures)
         self._last_op_per_stream = tuple(last_op_per_stream)
-        self._category_totals = dict(category_totals)
-        self._category_counts = dict(category_counts or {})
-        self._comm_nbytes = float(comm_nbytes)
+        #: one epoch's telemetry, precomputed at capture: per
+        #: ``(category, device)`` op count and seconds, FLOPs and bytes
+        #: over every trace event, and per link tier ``(bytes, seconds)``
+        #: over every collective.
+        self._op_totals = dict(op_totals)
+        self._flops = float(flops)
+        self._nbytes = float(nbytes)
+        self._link_totals = dict(link_totals or {})
 
     # -- introspection -------------------------------------------------------
 
@@ -112,18 +118,12 @@ class ExecutionPlan:
     def num_closures(self) -> int:
         return len(self._closures)
 
-    def category_totals(self) -> dict:
+    def category_totals(self) -> Dict[str, float]:
         """Total captured op duration per category (one epoch's worth)."""
-        return dict(self._category_totals)
-
-    def category_counts(self) -> dict:
-        """Captured trace-event count per category (one epoch's worth)."""
-        return dict(self._category_counts)
-
-    @property
-    def comm_nbytes(self) -> float:
-        """Total bytes moved by captured comm events (one epoch's worth)."""
-        return self._comm_nbytes
+        totals: Dict[str, float] = {}
+        for (category, _device), (_count, seconds) in self._op_totals.items():
+            totals[category] = totals.get(category, 0.0) + seconds
+        return totals
 
     def op_dependencies(self) -> List[Tuple[int, ...]]:
         """Per-op dependency edges, rebuilt from the level encoding.
@@ -213,17 +213,24 @@ class ExecutionPlan:
             if last >= 0:
                 stream.ready_time = float(ends[last])
 
-        # 4. trace regeneration, in bulk.
+        # 4. trace regeneration, in bulk. Every start is t0 or some
+        # op's end, so events share one float object per distinct time
+        # (as eager events do) instead of holding two fresh floats each.
         emitted = 0
         if engine.record_trace:
+            end_objs = ends.tolist()
+            t0 = float(t0)
+            by_value = {t0: t0}
+            by_value.update(zip(end_objs, end_objs))
+            start_objs = [by_value[t] for t in starts.tolist()]
             events = [
                 TraceEvent(
                     device=device,
                     stream=stream_name,
                     name=name,
                     category=category,
-                    start=float(starts[op]),
-                    end=float(ends[op]),
+                    start=start_objs[op],
+                    end=end_objs[op],
                     stage=stage,
                     nbytes=nbytes,
                     correlation=correlation,
@@ -242,9 +249,10 @@ class ExecutionPlan:
             telemetry.on_replay(
                 start=t0,
                 end=end_time,
-                category_totals=self._category_totals,
-                category_counts=self._category_counts,
-                comm_nbytes=self._comm_nbytes,
+                op_totals=self._op_totals,
+                flops=self._flops,
+                nbytes=self._nbytes,
+                link_totals=self._link_totals,
                 num_gpus=len({s.device.name for s in self._streams}),
             )
         return ReplayResult(

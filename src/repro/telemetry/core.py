@@ -93,31 +93,52 @@ class Telemetry:
         just for accounting would dominate the hook cost and blow the
         overhead budget.
         """
-        key = (category, device)
-        cached = self._op_instruments.get(key)
-        if cached is None:
-            cached = (
-                self.registry.counter(
-                    "repro_ops_total",
-                    "Simulated ops executed, by category and device",
-                    category=category,
-                    device=device,
-                ),
-                self.registry.counter(
-                    "repro_op_seconds_total",
-                    "Simulated busy seconds, by category and device",
-                    category=category,
-                    device=device,
-                ),
-            )
-            self._op_instruments[key] = cached
-        ops, seconds_counter = cached
+        ops, seconds_counter = (
+            self._op_instruments.get((category, device))
+            or self._op_counters(category, device)
+        )
         ops.value += 1.0
         seconds_counter.value += seconds
         if nbytes:
             self._bytes_total.value += nbytes
         if flops:
             self._flops_total.value += flops
+
+    def _op_counters(self, category: str, device: str) -> tuple:
+        """Create and cache the ops/seconds counters of one pair."""
+        cached = (
+            self.registry.counter(
+                "repro_ops_total",
+                "Simulated ops executed, by category and device",
+                category=category,
+                device=device,
+            ),
+            self.registry.counter(
+                "repro_op_seconds_total",
+                "Simulated busy seconds, by category and device",
+                category=category,
+                device=device,
+            ),
+        )
+        self._op_instruments[(category, device)] = cached
+        return cached
+
+    def _link_counters(self, link: str) -> tuple:
+        """Create and cache the bytes/seconds counters of one tier."""
+        cached = (
+            self.registry.counter(
+                "repro_comm_link_bytes_total",
+                "Collective payload bytes by link tier",
+                link=link,
+            ),
+            self.registry.counter(
+                "repro_comm_link_seconds_total",
+                "Collective busy seconds by link tier",
+                link=link,
+            ),
+        )
+        self._link_instruments[link] = cached
+        return cached
 
     def on_comm(self, link: str, seconds: float, nbytes: float) -> None:
         """Account one collective's traffic on its link tier.
@@ -127,26 +148,12 @@ class Telemetry:
         confined to one node, "inter_node" for sets that cross the NIC).
         Bytes here are per payload, not per rank — summing the two tiers
         gives the wire traffic of the run, which is what the
-        hierarchical-collective benches compare. Replayed plans do not
-        re-account link tiers (the plan template stores aggregate comm
-        bytes only; see :meth:`on_replay`).
+        hierarchical-collective benches compare. Replayed plans account
+        the same tiers in aggregate (see :meth:`on_replay`).
         """
-        cached = self._link_instruments.get(link)
-        if cached is None:
-            cached = (
-                self.registry.counter(
-                    "repro_comm_link_bytes_total",
-                    "Collective payload bytes by link tier",
-                    link=link,
-                ),
-                self.registry.counter(
-                    "repro_comm_link_seconds_total",
-                    "Collective busy seconds by link tier",
-                    link=link,
-                ),
-            )
-            self._link_instruments[link] = cached
-        bytes_counter, seconds_counter = cached
+        bytes_counter, seconds_counter = (
+            self._link_instruments.get(link) or self._link_counters(link)
+        )
         bytes_counter.value += nbytes
         seconds_counter.value += seconds
         if self.flight is not None:
@@ -157,9 +164,10 @@ class Telemetry:
         *,
         start: float,
         end: float,
-        category_totals: Dict[str, float],
-        category_counts: Dict[str, int],
-        comm_nbytes: float,
+        op_totals: Dict[Tuple[str, str], Tuple[int, float]],
+        flops: float,
+        nbytes: float,
+        link_totals: Dict[str, Tuple[float, float]],
         num_gpus: int,
         correlation: Optional[str] = None,
     ) -> Span:
@@ -167,32 +175,44 @@ class Telemetry:
 
         Captured plans replay thousands of ops via the vectorised
         timeline; iterating them through :meth:`on_op` would forfeit the
-        replay speedup, so the plan hands us its precomputed per-category
-        totals instead. Replayed op durations land in the same counters
-        as eager ops; replayed FLOPs are not tracked (plan templates do
-        not carry them — see docs/observability.md).
+        replay speedup, so the plan hands over one epoch's totals,
+        precomputed at capture: ``op_totals`` maps ``(category,
+        device)`` to ``(ops, seconds)``, ``link_totals`` maps a link
+        tier to ``(bytes, seconds)``. A replayed epoch so adds the same
+        series an eager epoch adds (equal up to float summation order).
         """
-        for category, total in category_totals.items():
-            # Timeline totals are per schedule; counters are cross-rank
-            # like eager accounting, hence the "all" device label.
-            self.registry.counter(
-                "repro_op_seconds_total", category=category, device="all"
-            ).value += total
-            self.registry.counter(
-                "repro_ops_total", category=category, device="all"
-            ).value += category_counts.get(category, 0)
-        if comm_nbytes:
-            self._bytes_total.value += comm_nbytes
+        for (category, device), (count, seconds) in op_totals.items():
+            ops, seconds_counter = (
+                self._op_instruments.get((category, device))
+                or self._op_counters(category, device)
+            )
+            ops.value += count
+            seconds_counter.value += seconds
+        if nbytes:
+            self._bytes_total.value += nbytes
+        if flops:
+            self._flops_total.value += flops
+        for link, (link_bytes, link_seconds) in link_totals.items():
+            bytes_counter, seconds_counter = (
+                self._link_instruments.get(link) or self._link_counters(link)
+            )
+            bytes_counter.value += link_bytes
+            seconds_counter.value += link_seconds
         self.registry.counter(
             "repro_plan_replays_total", "Captured-plan replays executed"
         ).value += 1.0
         if self.flight is not None:
+            category_totals: Dict[str, float] = {}
+            for (category, _device), (_count, seconds) in op_totals.items():
+                category_totals[category] = (
+                    category_totals.get(category, 0.0) + seconds
+                )
             self.flight.record(
                 "replay",
                 time=end,
                 start=start,
-                category_totals=dict(category_totals),
-                comm_nbytes=comm_nbytes,
+                category_totals=category_totals,
+                comm_nbytes=nbytes,
                 num_gpus=num_gpus,
             )
         return self.tracer.record(

@@ -110,8 +110,9 @@ class TrainingLoop:
         shrunken world instead of aborting the loop.
     capture_epochs:
         Opt-in epoch capture & replay (:mod:`repro.plan`): sets the
-        trainer's ``capture_epochs`` flag so epoch 1 is recorded and
-        later epochs replay its execution plan. The trainer itself
+        trainer's ``capture_epochs`` flag so epoch 1 warms up eagerly,
+        epoch 2 is recorded and later epochs replay its execution plan.
+        False leaves the trainer's own setting. The trainer itself
         falls back to eager scheduling while a fault plan is active and
         recaptures after elastic recovery re-partitions the graph.
         Requires a trainer that supports the flag.

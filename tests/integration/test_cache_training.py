@@ -1,11 +1,11 @@
 """Integration tests: the training-time remote-embedding cache.
 
-Covers the ISSUE acceptance points end to end: bitwise transparency at
-``staleness=0`` on every execution path (the eager stage-plan fast path,
-the validated per-stage loop a fault plan forces, plan capture/replay), accuracy parity under bounded staleness, plan
-invalidation when the cache changes mid-capture, telemetry export, and
-a fast smoke of the broadcast-byte savings the cachebench benchmark
-measures at full scale.
+Covers the cache end to end: bitwise transparency at ``staleness=0`` on
+every execution path (the eager stage-plan fast path, the validated
+per-stage loop a fault plan forces, plan capture/replay), accuracy parity under bounded staleness, one
+replayed plan per cache phase, plan invalidation when the cache changes
+mid-capture, telemetry export, and a fast smoke of the broadcast-byte
+savings the cachebench benchmark measures at full scale.
 """
 
 import numpy as np
@@ -71,7 +71,7 @@ def _weights_after(dataset, model, epochs, **kwargs):
 @pytest.mark.parametrize(
     "mode_kwargs",
     [
-        {},
+        {"capture_epochs": False},
         # a fault plan that never fires still forces the validated
         # per-stage broadcast loop instead of the stage-plan fast path.
         {"fault_injector": FaultInjector(
@@ -130,7 +130,7 @@ def test_stale_serving_is_identical_on_every_path(
     per_op_plan = FaultPlan(device_failures=(DeviceFailure(rank=0, time=1e9),))
     runs = {}
     for path, mode_kwargs in (
-        ("eager", {}),
+        ("eager", {"capture_epochs": False}),
         ("per_op", {"fault_injector": FaultInjector(per_op_plan)}),
         ("capture", {"capture_epochs": True}),
     ):
@@ -152,8 +152,40 @@ def test_stale_serving_is_identical_on_every_path(
             assert np.array_equal(got, want), path
 
 
+@pytest.mark.parametrize("staleness", [1, 2])
+def test_one_plan_per_cache_phase(parity_dataset, parity_model, staleness):
+    """Both cache phases replay: two captures, then steady replay."""
+    epochs = 8
+    eager = _trainer(parity_dataset, parity_model, capture_epochs=False,
+                     cache_staleness_epochs=staleness,
+                     cache_budget_bytes=10**9)
+    replayed = _trainer(parity_dataset, parity_model, capture_epochs=True,
+                        cache_staleness_epochs=staleness,
+                        cache_budget_bytes=10**9)
+    es = eager.fit(epochs)
+    rs = replayed.fit(epochs)
+    # epoch 1 admits and fills (new generation), so epochs 1 and 2 warm
+    # up; the next refresh and serve epochs are captured once each.
+    assert replayed.plan_stats == type(replayed.plan_stats)(
+        captures=2, replays=epochs - 4, eager_epochs=2, invalidations=0
+    )
+    assert sorted(replayed._plans) == ["refresh", "serve"]
+    assert [s.loss for s in es] == [s.loss for s in rs]
+    assert [s.epoch_time for s in es] == [s.epoch_time for s in rs]
+
+    def trace(stats):
+        return [(e.device, e.stream, e.name, e.start, e.end, e.nbytes)
+                for st in stats for e in st.trace]
+
+    assert trace(es) == trace(rs)
+    for a, b in zip(eager.get_weights(), replayed.get_weights()):
+        assert np.array_equal(a, b)
+    assert (eager.training_cache.total.bytes_saved
+            == replayed.training_cache.total.bytes_saved)
+
+
 def test_evict_mid_capture_invalidates_plan(small_dataset, small_model):
-    base = _weights_after(small_dataset, small_model, 5, capture_epochs=True)
+    base = _weights_after(small_dataset, small_model, 6, capture_epochs=True)
     trainer = _trainer(
         small_dataset,
         small_model,
@@ -161,9 +193,9 @@ def test_evict_mid_capture_invalidates_plan(small_dataset, small_model):
         cache_staleness_epochs=0,
         cache_budget_bytes=10**9,
     )
-    # epoch 0 captures, its admissions invalidate, epoch 1 recaptures,
-    # epoch 2 is the first steady replay.
-    for _ in range(3):
+    # epoch 1 warms up and admits (new generation), epoch 2 warms up
+    # again, epoch 3 captures, epoch 4 is the first steady replay.
+    for _ in range(4):
         trainer.train_epoch()
     assert trainer.plan_stats.replays >= 1  # steady replay reached
     before = trainer.plan_stats.invalidations

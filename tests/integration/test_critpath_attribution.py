@@ -68,8 +68,10 @@ class TestEagerReplayEquivalence:
             small_dataset, small_model, num_gpus=4,
             config=TrainerConfig(seed=0, capture_epochs=True),
         )
+        trainer.train_epoch()           # warm-up
         eager = trainer.train_epoch()   # captures while running eagerly
         replay = trainer.train_epoch()  # regenerates from the plan
+        assert trainer.plan_stats.replays == 1
         r_eager = critical_path(eager.trace)
         r_replay = critical_path(replay.trace)
         assert [s.name for s in r_eager.steps] == [

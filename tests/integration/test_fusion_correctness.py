@@ -9,7 +9,8 @@ and an active capture records the validated loop for replay.
 
 The oracle is :class:`PerOpTrainer` below: the op-at-a-time schedule —
 one engine submit per rank per kernel, one validated ``comm.broadcast``
-per stage. On every path the losses, epoch times, the full trace
+per stage, scheduled eagerly every epoch (``capture_epochs=False``).
+On every path the losses, epoch times, the full trace
 (event order included) and the final weights are *bitwise* equal to it.
 The engine-level suite pins the mechanism: ``submit_many`` emits trace
 events equal to the sequential submits it replaces. The mixture
@@ -251,9 +252,12 @@ class TestEagerFusionIdentity:
     @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
     def test_fast_path_is_bitwise_identical(self, dataset, model, num_gpus,
                                             config):
-        reference = _run(dataset, model, num_gpus, PerOpTrainer, **config)
-        eager = _run(dataset, model, num_gpus, **config)
+        reference = _run(dataset, model, num_gpus, PerOpTrainer,
+                         capture_epochs=False, **config)
+        eager = _run(dataset, model, num_gpus, capture_epochs=False,
+                     **config)
         _assert_identical(eager, reference)
+        assert eager[4].plan_stats.eager_epochs == EPOCHS
         if num_gpus > 1:
             # the stage-plan fast path actually ran.
             assert eager[4].ctx.spmm_plan_cache
@@ -270,8 +274,9 @@ class TestEagerFusionIdentity:
     def test_untraced_weights_are_bitwise_identical(self, dataset, model,
                                                     num_gpus):
         reference = _run(dataset, model, num_gpus, PerOpTrainer,
-                         record_trace=False)
-        eager = _run(dataset, model, num_gpus, record_trace=False)
+                         capture_epochs=False, record_trace=False)
+        eager = _run(dataset, model, num_gpus, capture_epochs=False,
+                     record_trace=False)
         assert eager[0] == reference[0]
         assert eager[1] == reference[1]
         for gw, ww in zip(eager[3], reference[3]):
@@ -283,7 +288,8 @@ class TestFaultedFallbackIdentity:
     def test_per_op_fallback_is_bitwise_identical(self, dataset, model,
                                                   num_gpus):
         reference = _run(dataset, model, num_gpus, PerOpTrainer,
-                         injector=_never_firing_injector())
+                         injector=_never_firing_injector(),
+                         capture_epochs=False)
         faulted = _run(dataset, model, num_gpus,
                        injector=_never_firing_injector())
         _assert_identical(faulted, reference)
@@ -295,10 +301,11 @@ class TestFaultedFallbackIdentity:
 class TestReplayFusionIdentity:
     def test_captured_fast_path_matches_plain_eager(self, dataset, model,
                                                     num_gpus):
-        reference = _run(dataset, model, num_gpus, PerOpTrainer)
+        reference = _run(dataset, model, num_gpus, PerOpTrainer,
+                         capture_epochs=False)
         replayed = _run(dataset, model, num_gpus, capture_epochs=True)
         assert replayed[4].plan_stats.captures == 1
-        assert replayed[4].plan_stats.replays == EPOCHS - 1
+        assert replayed[4].plan_stats.replays == EPOCHS - 2
         _assert_identical(replayed, reference)
 
 
@@ -316,7 +323,7 @@ def test_hierarchical_eager_epoch_matches_replay():
         )
         return [trainer.train_epoch().epoch_time for _ in range(3)]
 
-    assert epochs() == epochs(capture_epochs=True)
+    assert epochs(capture_epochs=False) == epochs(capture_epochs=True)
 
 
 class TestEngineFusedSubmission:

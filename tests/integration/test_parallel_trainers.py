@@ -149,13 +149,13 @@ def test_mixture_capture_replay(small_dataset, small_model,
     )
     eager = MixtureTrainer(
         small_dataset, small_model, machine=two_node_cluster,
-        config=TrainerConfig(seed=5),
+        config=TrainerConfig(seed=5, capture_epochs=False),
     )
     for _ in range(4):
         mix.train_epoch()
         eager.train_epoch()
     assert mix.plan_stats.captures == 1
-    assert mix.plan_stats.replays == 3
+    assert mix.plan_stats.replays == 2
     for a, b in zip(mix.get_weights(), eager.get_weights()):
         assert np.array_equal(a, b)
 

@@ -31,7 +31,8 @@ from repro.telemetry import (
 from repro.telemetry.export import SPAN_PID
 from repro.training.loop import TrainingLoop
 
-EPOCHS = 3
+# a warm-up epoch, the capture epoch, then two replays
+EPOCHS = 4
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,8 @@ def pipeline(small_dataset, small_model):
     all reporting into one telemetry hub."""
     telemetry = Telemetry(run_id="e2e", trace_ops=True)
 
-    # 1. captured training: epoch 1 captures the plan, 2..N replay it.
+    # 1. captured training: epoch 1 warms up, epoch 2 captures the
+    #    plan, 3..N replay it.
     captured = MGGCNTrainer(small_dataset, small_model, num_gpus=2)
     TrainingLoop(
         captured, max_epochs=EPOCHS, eval_every=EPOCHS,
@@ -131,8 +133,8 @@ class TestUnifiedTrace:
         assert {k.correlation for k in kernels} == {"epoch-1"}
         # replayed epochs show up as aggregate plan spans
         replays = [s for s in tracer.spans if s.name == "plan.replay"]
-        assert len(replays) == EPOCHS - 1
-        assert {r.correlation for r in replays} == {"epoch-2", "epoch-3"}
+        assert len(replays) == EPOCHS - 2
+        assert {r.correlation for r in replays} == {"epoch-3", "epoch-4"}
         # the recovery protocol has its own correlated span, with the
         # re-broadcast/re-shard engine ops nested underneath it
         recoveries = [s for s in tracer.spans if s.name == "recovery"]
@@ -181,8 +183,8 @@ class TestUnifiedMetrics:
     def test_counts_match_ground_truth(self, pipeline):
         flat = pipeline["telemetry"].registry.flatten()
         assert flat["repro_train_epochs_total"] == float(2 * EPOCHS)
-        assert flat["repro_plan_replays_total"] == float(EPOCHS - 1)
-        assert pipeline["captured"].plan_stats.replays == EPOCHS - 1
+        assert flat["repro_plan_replays_total"] == float(EPOCHS - 2)
+        assert pipeline["captured"].plan_stats.replays == EPOCHS - 2
         assert flat['repro_recoveries_total{outcome="recovered"}'] == 1.0
         assert len(pipeline["elastic"].recovery_log) == 1
         assert flat["repro_serving_requests_total"] == 60.0

@@ -220,9 +220,15 @@ def test_stage_plans_share_host_scratch():
         ds, model, machine=dgx1(), num_gpus=4,
         config=TrainerConfig(capture_epochs=True),
     )
+    # the warm-up epoch is eager and builds the training stage plans;
+    # drop them so only the plans evaluate() builds are measured.
+    trainer.train_epoch()
+    trainer.ctx.spmm_plan_cache.clear()
+    trainer.ctx._host_buffers.clear()
     # a captured epoch runs the validated loop: it warms every buffer
     # and per-tile cache without building any stage plan.
     trainer.train_epoch()
+    assert trainer.plan_stats.captures == 1
     assert not trainer.ctx.spmm_plan_cache
     gc.collect()
     tracemalloc.start()

@@ -203,9 +203,8 @@ class TestPlanCriticalPath:
             dataset, model, num_gpus=2,
             config=TrainerConfig(seed=0, capture_epochs=True),
         )
-        trainer.train_epoch()  # capture
-        assert trainer._plan is not None
-        return trainer._plan
+        trainer.fit(2)  # warm-up, capture
+        return trainer._plans[None]
 
     def test_plan_walk_matches_trace_walk_epoch_time(self):
         plan = self._captured_plan()

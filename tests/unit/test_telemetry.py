@@ -247,16 +247,22 @@ class TestTelemetryHub:
         t = Telemetry()
         span = t.on_replay(
             start=0.0, end=2.0,
-            category_totals={"gemm": 1.5, "comm": 0.5},
-            category_counts={"gemm": 10, "comm": 4},
-            comm_nbytes=1 << 20,
+            op_totals={("gemm", "gpu0"): (10, 1.5), ("comm", "gpu1"): (4, 0.5)},
+            flops=3e6,
+            nbytes=1 << 20,
+            link_totals={"intra_node": (float(1 << 18), 0.125)},
             num_gpus=4,
             correlation="epoch-2",
         )
         flat = t.registry.flatten()
-        assert flat['repro_ops_total{category="gemm",device="all"}'] == 10.0
-        assert flat['repro_op_seconds_total{category="comm",device="all"}'] == 0.5
+        # the same per-device series an eager epoch adds to
+        assert flat['repro_ops_total{category="gemm",device="gpu0"}'] == 10.0
+        assert flat['repro_op_seconds_total{category="comm",device="gpu1"}'] == 0.5
+        assert not any('device="all"' in k for k in flat)
         assert flat["repro_comm_bytes_total"] == float(1 << 20)
+        assert flat["repro_flops_total"] == 3e6
+        assert flat['repro_comm_link_bytes_total{link="intra_node"}'] == float(1 << 18)
+        assert flat['repro_comm_link_seconds_total{link="intra_node"}'] == 0.125
         assert flat["repro_plan_replays_total"] == 1.0
         assert span.name == "plan.replay"
         assert span.correlation == "epoch-2"

@@ -112,6 +112,9 @@ def test_phase_flip_changes_token_and_serve_requires_fill():
     refresh_token = cache.plan_token()
     assert cache.begin_epoch() == SERVE
     assert cache.plan_token() != refresh_token
+    # the resident contents (generation) do not change with the phase:
+    # the trainer keeps one epoch plan per phase under one signature.
+    assert cache.generation == refresh_token[0]
     # filled during the refresh epoch -> serveable now.
     assert cache.stage_entry("fwd0/spmm", 0, src) is not None
     # an entry admitted *during* a serve epoch is unfilled: full
