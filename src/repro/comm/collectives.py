@@ -13,6 +13,18 @@ the machine's :class:`~repro.hardware.topology.Topology`:
 Every per-rank op is recorded on that rank's chosen stream so the
 timeline figures show communication per GPU (yellow bars in Figs. 6/8).
 
+One definition per collective: :class:`Communicator` is the only place
+a collective is validated, runs its payload closure and is priced.
+After validation each collective builds a *phase plan* — tiers run back
+to back, the phases of one tier run concurrently, each phase a
+rendezvous on a (sub-)communicator priced by one of four cost-term
+methods — and hands it to one executor. The flat plan is one phase on
+the communicator itself; node-hierarchical collectives
+(:mod:`repro.parallel.hierarchy`) override only the ``_*_phases``
+methods. The ``*_duration`` predictors time the same plan in the
+executor's float order, so a prediction equals the executed duration
+on idle streams bit for bit.
+
 Failure awareness (``repro.resilience``): when the context carries a
 :class:`~repro.resilience.FaultInjector`, every collective checks its
 participants at rendezvous time —
@@ -42,7 +54,6 @@ from __future__ import annotations
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -62,8 +73,26 @@ from repro.errors import (
     DeviceFailedError,
     PlanError,
 )
+from repro.hardware.spec import link_class
 from repro.hardware.topology import Topology
 from repro.resilience.policy import RetryPolicy
+
+#: One phase of a collective: a rendezvous on a (sub-)communicator
+#: ``(comm, (fixed, bw_time), name suffix, nbytes, flops, carries payload)``.
+Phase = Tuple["Communicator", Tuple[float, float], str, int, float, bool]
+#: A collective's phase plan: tiers run back to back, the phases of one
+#: tier (disjoint rank sets) run concurrently.
+PhasePlan = List[List[Phase]]
+
+
+def _ceil_log2(n: int) -> int:
+    """Tree depth of ``n`` leaves (>= 1 for n >= 2)."""
+    depth = 0
+    span = 1
+    while span < n:
+        span *= 2
+        depth += 1
+    return max(depth, 1)
 
 
 class Communicator:
@@ -115,10 +144,10 @@ class Communicator:
         #: (degradation windows are applied at rendezvous, not here), so
         #: the overlap scheduler's per-stage queries are memoizable.
         self._bcast_duration_cache: Dict[Tuple[int, int], float] = {}
-        #: root -> (fixed, effective bandwidth) for broadcasts: the
-        #: topology walk + latency max depend only on (root, ranks),
+        #: (root, tree) -> (fixed, effective bandwidth) for broadcasts:
+        #: the topology walk + latency max depend only on (root, ranks),
         #: both frozen for a communicator's lifetime.
-        self._bcast_timing_cache: Dict[int, Tuple[float, float]] = {}
+        self._bcast_timing_cache: Dict[Tuple[int, bool], Tuple[float, float]] = {}
         #: which link tier this communicator's traffic transits. A rank
         #: set confined to one node moves bytes over NVLink/PCIe only
         #: ("intra_node"); a set spanning nodes is bottlenecked by the
@@ -126,13 +155,7 @@ class Communicator:
         #: hierarchical collectives (:mod:`repro.parallel.hierarchy`)
         #: decompose multi-node ops into sub-communicators so each
         #: phase's bytes land in the correct tier.
-        machine = ctx.machine
-        self.link_class = (
-            "inter_node"
-            if machine.num_nodes > 1
-            and len({machine.node_of(r) for r in self.ranks}) > 1
-            else "intra_node"
-        )
+        self.link_class = link_class(ctx.machine, self.ranks)
 
     @property
     def size(self) -> int:
@@ -376,7 +399,151 @@ class Communicator:
                 streams, t, t + duration, name, stage, nbytes, flops=flops
             )
 
-    # -- collectives -----------------------------------------------------------
+    # -- cost terms: (fixed, bw_time) of one rendezvous on this rank set ----
+    #
+    # The only place the collective bandwidth model is read. ``fixed`` is
+    # the bandwidth-independent part (launch overhead + hop latency;
+    # allgather has no launch term), ``bw_time`` the bytes on the wire
+    # over the effective bandwidth. ``tree=True`` prices the binary-tree
+    # algorithm the inter-node leader tier runs: ``ceil(log2 P)`` hops
+    # instead of the ring's ``P - 1``. A single rank costs nothing.
+
+    def _broadcast_terms(
+        self, root: int, nbytes: int, tree: bool = False
+    ) -> Tuple[float, float]:
+        """Pipelined broadcast of ``nbytes`` from ``root``."""
+        if self.size <= 1:
+            return 0.0, 0.0
+        timing = self._bcast_timing_cache.get((root, tree))
+        if timing is None:
+            bw = self.topology.broadcast_bandwidth(root, self.ranks) * self.bw_derate
+            latency = max(
+                self.topology.p2p_latency(root, r) for r in self.ranks if r != root
+            )
+            if tree:
+                latency *= _ceil_log2(self.size)
+            timing = (self.collective_overhead + latency, bw)
+            self._bcast_timing_cache[(root, tree)] = timing
+        fixed, bw = timing
+        return fixed, nbytes / bw
+
+    def _reduce_terms(self, nbytes: int, tree: bool = False) -> Tuple[float, float]:
+        """Reduce moving ``(P-1)/P`` of the buffer."""
+        if self.size <= 1:
+            return 0.0, 0.0
+        bw = self.topology.allreduce_bandwidth(self.ranks) * self.bw_derate
+        volume = (self.size - 1) / self.size * nbytes
+        hops = _ceil_log2(self.size) if tree else self.size - 1
+        latency = hops * self.topology.p2p_latency(self.ranks[0], self.ranks[1])
+        return self.collective_overhead + latency, volume / bw
+
+    def _allreduce_terms(
+        self, nbytes: int, tree: bool = False
+    ) -> Tuple[float, float]:
+        """Allreduce moving ``2 (P-1)/P`` of the buffer."""
+        if self.size <= 1:
+            return 0.0, 0.0
+        bw = self.topology.allreduce_bandwidth(self.ranks) * self.bw_derate
+        volume = 2.0 * (self.size - 1) / self.size * nbytes
+        hops = 2 * (_ceil_log2(self.size) if tree else self.size - 1)
+        latency = hops * self.topology.p2p_latency(self.ranks[0], self.ranks[1])
+        return self.collective_overhead + latency, volume / bw
+
+    def _allgather_terms(self, nbytes: int) -> Tuple[float, float]:
+        """Ring allgather of ``nbytes`` gathered bytes."""
+        if self.size <= 1:
+            return 0.0, 0.0
+        bw = self.topology.collective_bandwidth(self.ranks) * self.bw_derate
+        volume = (self.size - 1) / self.size * nbytes
+        latency = (self.size - 1) * self.topology.p2p_latency(
+            self.ranks[0], self.ranks[1]
+        )
+        return latency, volume / bw
+
+    def _reduction_flops(self, count: int, mean: bool = False) -> float:
+        """Per-rank arithmetic of a ring reduction over ``count`` elements:
+        each rank adds ``(P-1)/P`` of the buffer; a mean also divides its
+        ``1/P`` shard."""
+        if self.size <= 1:
+            return 0.0
+        flops = (self.size - 1) / self.size * count
+        if mean:
+            flops += count / self.size
+        return flops
+
+    # -- phase plans ---------------------------------------------------------
+    #
+    # What a collective runs once it is validated. The flat plan is one
+    # phase on this communicator; a subclass whose collectives are shaped
+    # differently (node-hierarchical tiers) overrides only these four.
+
+    def _broadcast_phases(self, root: int, nbytes: int) -> PhasePlan:
+        return [[(self, self._broadcast_terms(root, nbytes), "", nbytes, 0.0,
+                  True)]]
+
+    def _allreduce_phases(
+        self, nbytes: int, count: int = 0, mean: bool = False
+    ) -> PhasePlan:
+        """``count`` (elements) and ``mean`` size only the FLOPs."""
+        return [[(self, self._allreduce_terms(nbytes), "", nbytes,
+                  self._reduction_flops(count, mean), True)]]
+
+    def _reduce_phases(self, root: int, nbytes: int, count: int) -> PhasePlan:
+        return [[(self, self._reduce_terms(nbytes), "", nbytes,
+                  self._reduction_flops(count), True)]]
+
+    def _allgather_phases(
+        self, nbytes_of: Callable[[Sequence[int]], int]
+    ) -> PhasePlan:
+        """``nbytes_of(ranks)`` is the source bytes a rank subset holds."""
+        nbytes = nbytes_of(self.ranks)
+        return [[(self, self._allgather_terms(nbytes), "", nbytes, 0.0, True)]]
+
+    def _run_plan(
+        self,
+        plan: PhasePlan,
+        streams: Optional[Mapping[int, Stream]],
+        deps_by_rank: Optional[Mapping[int, Sequence[Event]]],
+        name: str,
+        compute: Callable[[], object],
+        stage: Optional[int] = None,
+    ) -> Dict[int, Event]:
+        """Run ``plan``: one rendezvous per phase, tier after tier.
+
+        A rank's caller dependencies gate the first phase it joins; the
+        payload closure (already executed by the caller) rides the phase
+        flagged to carry it, so a captured plan replays the data
+        movement exactly once.
+        """
+        pending = dict(deps_by_rank) if deps_by_rank else {}
+        events: Dict[int, Event] = {}
+        for tier in plan:
+            for comm, (fixed, bw_time), suffix, nbytes, flops, payload in tier:
+                deps = {r: pending.pop(r) for r in comm.ranks if r in pending}
+                events.update(
+                    comm._rendezvous(
+                        comm._streams(streams), fixed, bw_time, name + suffix,
+                        deps, stage, nbytes, compute if payload else None,
+                        flops=flops,
+                    )
+                )
+        return events
+
+    @staticmethod
+    def _plan_duration(plan: PhasePlan) -> float:
+        """What :meth:`_run_plan` takes on idle streams, bit for bit.
+
+        Tiers run back to back and each lasts as long as its slowest
+        phase; every phase costs ``fixed + bw_time``, grouped as
+        :meth:`_rendezvous` groups it.
+        """
+        t = 0.0
+        for tier in plan:
+            if tier:
+                t += max(fixed + bw_time for _, (fixed, bw_time), *_ in tier)
+        return t
+
+    # -- predictors ----------------------------------------------------------
 
     def broadcast_duration(self, root: int, nbytes: int) -> float:
         """Predicted duration of a broadcast of ``nbytes`` from ``root``.
@@ -384,67 +551,33 @@ class Communicator:
         Used by the overlap scheduler to size the bandwidth-sharing
         window of the SpMM that runs concurrently with the broadcast.
         """
-        if self.size <= 1:
-            return 0.0
         key = (root, nbytes)
-        cached = self._bcast_duration_cache.get(key)
-        if cached is not None:
-            return cached
-        fixed, bw = self.broadcast_timing(root)
-        duration = fixed + nbytes / bw
-        self._bcast_duration_cache[key] = duration
+        duration = self._bcast_duration_cache.get(key)
+        if duration is None:
+            duration = self._plan_duration(self._broadcast_phases(root, nbytes))
+            self._bcast_duration_cache[key] = duration
         return duration
-
-    def broadcast_timing(self, root: int) -> Tuple[float, float]:
-        """``(fixed, effective_bandwidth)`` of a broadcast from ``root``.
-
-        ``fixed`` is the bandwidth-independent part (launch overhead +
-        worst-path latency); a payload of ``n`` bytes then takes
-        ``fixed + n / effective_bandwidth``. Cached per root — the
-        topology is frozen, so both terms are invariants of
-        ``(root, ranks)``.
-        """
-        cached = self._bcast_timing_cache.get(root)
-        if cached is not None:
-            return cached
-        bw = self.topology.broadcast_bandwidth(root, self.ranks) * self.bw_derate
-        latency = max(
-            self.topology.p2p_latency(root, r) for r in self.ranks if r != root
-        )
-        timing = (self.collective_overhead + latency, bw)
-        self._bcast_timing_cache[root] = timing
-        return timing
 
     def allreduce_duration(self, nbytes: int) -> float:
         """Predicted duration of an allreduce of ``nbytes`` per rank.
 
-        Same arithmetic as :meth:`allreduce`'s timing path; used by the
-        parallelism planner (:mod:`repro.parallel.planner`) so its
-        predictions share the simulator's communication model.
+        Used by the parallelism planner (:mod:`repro.parallel.planner`)
+        so its predictions share the simulator's communication model.
         """
-        if self.size <= 1:
-            return 0.0
-        bw = self.topology.allreduce_bandwidth(self.ranks) * self.bw_derate
-        volume = 2.0 * (self.size - 1) / self.size * nbytes
-        latency = 2.0 * (self.size - 1) * self.topology.p2p_latency(
-            self.ranks[0], self.ranks[1]
-        )
-        return self.collective_overhead + latency + volume / bw
+        return self._plan_duration(self._allreduce_phases(nbytes))
 
     def allgather_duration(self, total_nbytes: int) -> float:
         """Predicted duration of an allgather moving ``total_nbytes``.
 
         ``total_nbytes`` is the sum of all ranks' source buffers (the
-        gathered payload size). Mirrors :meth:`allgather`'s timing path.
+        gathered payload size), assumed spread evenly over the ranks.
         """
-        if self.size <= 1:
-            return 0.0
-        bw = self.topology.collective_bandwidth(self.ranks) * self.bw_derate
-        volume = (self.size - 1) / self.size * total_nbytes
-        latency = (self.size - 1) * self.topology.p2p_latency(
-            self.ranks[0], self.ranks[1]
+        size = self.size
+        return self._plan_duration(
+            self._allgather_phases(lambda ranks: total_nbytes * len(ranks) // size)
         )
-        return latency + volume / bw
+
+    # -- collectives -----------------------------------------------------------
 
     def broadcast(
         self,
@@ -466,10 +599,10 @@ class Communicator:
         Partial (sub-row) broadcasts — the training-time embedding cache
         serving part of a tile locally — pass ``payload_nbytes`` (the
         bytes actually on the wire; timing, trace ``nbytes`` and the
-        telemetry link accounting all use it instead of the full tile
-        size) and ``copy_fn``, the data movement replacing the full
-        copy. Destination *shapes* still rendezvous on the full tile:
-        every rank posts the same buffer, only the payload shrinks.
+        telemetry link accounting of every phase all use it instead of
+        the full tile size) and ``copy_fn``, the data movement replacing
+        the full copy. Destination *shapes* still rendezvous on the full
+        tile: every rank posts the same buffer, only the payload shrinks.
         """
         if root not in self.ranks:
             raise CommunicationError(f"broadcast root {root} not in {self.ranks}")
@@ -492,14 +625,9 @@ class Communicator:
         compute = copy_fn if copy_fn is not None else full_copy
         compute()
         nbytes = src.nbytes if payload_nbytes is None else int(payload_nbytes)
-        fixed = 0.0
-        bw_time = 0.0
-        if self.size > 1:
-            fixed, bw = self.broadcast_timing(root)
-            bw_time = nbytes / bw
-        return self._rendezvous(
-            self._streams(streams), fixed, bw_time, name, deps_by_rank, stage,
-            nbytes=nbytes, compute=compute,
+        return self._run_plan(
+            self._broadcast_phases(root, nbytes), streams, deps_by_rank, name,
+            compute, stage,
         )
 
     def plan_broadcast(
@@ -514,10 +642,12 @@ class Communicator:
         """Precompute the epoch-invariant half of a pipelined broadcast.
 
         Shapes, streams, the duration (root/nbytes/bandwidth are all
-        frozen for the communicator's lifetime, like the caches
-        :meth:`broadcast_timing` relies on), and the per-rank event-name
-        strings never change across epochs — only the start floor does.
-        The returned plan is an opaque tuple for :meth:`broadcast_replay`.
+        frozen for the communicator's lifetime, like the broadcast
+        terms cache), and the per-rank event-name strings never change
+        across epochs — only the start floor does. The returned plan is
+        an opaque tuple for :meth:`broadcast_replay`; it is the flat
+        one-phase broadcast, so only callers of a communicator whose
+        :attr:`plans_broadcasts` holds may use it.
 
         ``payload_nbytes``/``copy_fn`` mirror :meth:`broadcast`: a
         partial (cached) broadcast freezes its wire bytes and custom
@@ -525,11 +655,11 @@ class Communicator:
         plan when the cache state changes (the stage-plan cache in
         :mod:`repro.core.spmm_mg` keys on the cache's plan token).
         """
-        fixed, bw = self.broadcast_timing(root)
         nbytes = src.nbytes if payload_nbytes is None else int(payload_nbytes)
+        fixed, bw_time = self._broadcast_terms(root, nbytes)
         # same float grouping as _rendezvous: duration built first, then
         # added to the start at replay time.
-        duration = fixed + nbytes / bw
+        duration = fixed + bw_time
         ctx = self.ctx
         streams = {r: ctx.device(r).comm_stream for r in self.ranks}
         copy_dsts = tuple(
@@ -604,26 +734,9 @@ class Communicator:
 
         compute()
         ref = tensors[self.ranks[0]]
-        nbytes = ref.nbytes
-        fixed = 0.0
-        bw_time = 0.0
-        flops = 0.0
-        if self.size > 1:
-            bw = self.topology.allreduce_bandwidth(self.ranks) * self.bw_derate
-            volume = 2.0 * (self.size - 1) / self.size * nbytes
-            latency = 2.0 * (self.size - 1) * self.topology.p2p_latency(
-                self.ranks[0], self.ranks[1]
-            )
-            fixed = self.collective_overhead + latency
-            bw_time = volume / bw
-            # ring reduce-scatter: each rank adds (P-1)/P of the buffer;
-            # a mean also divides its 1/P shard.
-            flops = (self.size - 1) / self.size * ref.size
-            if op == "mean":
-                flops += ref.size / self.size
-        return self._rendezvous(
-            self._streams(streams), fixed, bw_time, name, deps_by_rank,
-            nbytes=nbytes, compute=compute, flops=flops,
+        return self._run_plan(
+            self._allreduce_phases(ref.nbytes, ref.size, op == "mean"),
+            streams, deps_by_rank, name, compute,
         )
 
     def reduce(
@@ -651,23 +764,9 @@ class Communicator:
                     root_tensor.data += src.data
 
         compute()
-        nbytes = root_tensor.nbytes
-        fixed = 0.0
-        bw_time = 0.0
-        flops = 0.0
-        if self.size > 1:
-            bw = self.topology.allreduce_bandwidth(self.ranks) * self.bw_derate
-            volume = (self.size - 1) / self.size * nbytes
-            latency = (self.size - 1) * self.topology.p2p_latency(
-                self.ranks[0], self.ranks[1]
-            )
-            fixed = self.collective_overhead + latency
-            bw_time = volume / bw
-            # ring reduce: each rank contributes one add of its shard chain.
-            flops = (self.size - 1) / self.size * root_tensor.size
-        return self._rendezvous(
-            self._streams(streams), fixed, bw_time, name, deps_by_rank,
-            nbytes=nbytes, compute=compute, flops=flops,
+        return self._run_plan(
+            self._reduce_phases(root, root_tensor.nbytes, root_tensor.size),
+            streams, deps_by_rank, name, compute,
         )
 
     def allgather(
@@ -721,20 +820,9 @@ class Communicator:
                         dst.data[offsets[s] : offsets[s] + src.rows] = src.data
 
         compute()
-        nbytes = sum(srcs[r].nbytes for r in self.ranks)
-        fixed = 0.0
-        bw_time = 0.0
-        if self.size > 1:
-            bw = self.topology.collective_bandwidth(self.ranks) * self.bw_derate
-            volume = (self.size - 1) / self.size * nbytes
-            latency = (self.size - 1) * self.topology.p2p_latency(
-                self.ranks[0], self.ranks[1]
-            )
-            fixed = latency
-            bw_time = volume / bw
-        return self._rendezvous(
-            self._streams(streams), fixed, bw_time, name, deps_by_rank,
-            nbytes=nbytes, compute=compute,
+        return self._run_plan(
+            self._allgather_phases(lambda ranks: sum(srcs[r].nbytes for r in ranks)),
+            streams, deps_by_rank, name, compute,
         )
 
     # -- helpers ------------------------------------------------------------------

@@ -1,6 +1,14 @@
 """Hardware model: GPU specs, interconnect topologies, machine factories."""
 
-from repro.hardware.spec import GPUSpec, LinkSpec, MachineSpec
+from repro.hardware.spec import (
+    GPUSpec,
+    LinkSpec,
+    MachineSpec,
+    group_leaders,
+    link_class,
+    node_groups,
+    spans_nodes,
+)
 from repro.hardware.topology import Topology
 from repro.hardware.machines import (
     dgx1,
@@ -24,4 +32,8 @@ __all__ = [
     "multi_node_cluster",
     "MACHINES",
     "get_machine",
+    "group_leaders",
+    "link_class",
+    "node_groups",
+    "spans_nodes",
 ]

@@ -15,7 +15,7 @@ empirical efficiency factors (sparse kernels never reach peak), see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import TopologyError
 
@@ -166,3 +166,42 @@ class MachineSpec:
         if total == 0:
             raise TopologyError(f"{self.name}: GPU {rank} has no outgoing links")
         return total
+
+
+# -- rank grouping by node ----------------------------------------------------
+#
+# Every hierarchical algorithm starts from the same decomposition of a rank
+# set: the ranks split by the node that hosts them, with one *leader* per
+# group (its first rank) representing the node on the inter-node tier. Free
+# functions over ``MachineSpec`` so the planner can reason about groupings
+# without building a ``SimContext``.
+
+
+def node_groups(machine: MachineSpec, ranks: Sequence[int]) -> List[List[int]]:
+    """Split ``ranks`` into per-node groups, ordered by first appearance.
+
+    Within a group the caller's rank order is preserved, so flat-order
+    reductions over a group reproduce the arithmetic of the flat
+    communicator restricted to that node.
+    """
+    by_node: Dict[int, List[int]] = {}
+    for r in ranks:
+        by_node.setdefault(machine.node_of(r), []).append(r)
+    return list(by_node.values())
+
+
+def group_leaders(groups: Sequence[Sequence[int]]) -> List[int]:
+    """The representative rank of each group (its first member)."""
+    return [g[0] for g in groups]
+
+
+def spans_nodes(machine: MachineSpec, ranks: Sequence[int]) -> bool:
+    """True when ``ranks`` live on more than one node."""
+    if machine.num_nodes <= 1:
+        return False
+    return len({machine.node_of(r) for r in ranks}) > 1
+
+
+def link_class(machine: MachineSpec, ranks: Sequence[int]) -> str:
+    """Telemetry link tier for a rank set: ``intra_node`` or ``inter_node``."""
+    return "inter_node" if spans_nodes(machine, ranks) else "intra_node"

@@ -16,7 +16,7 @@ The subsystem has three tiers:
   CLI prints it).
 """
 
-from repro.parallel.groups import (
+from repro.hardware import (
     group_leaders,
     link_class,
     node_groups,

@@ -34,10 +34,9 @@ from repro.comm.collectives import Communicator
 from repro.config import FLOAT_SIZE, INDEX_SIZE, OFFSET_SIZE
 from repro.device.engine import SimContext
 from repro.errors import ConfigurationError
-from repro.hardware.spec import MachineSpec
+from repro.hardware.spec import MachineSpec, spans_nodes
 from repro.kernels.cost import CostModel, KernelCosts
 from repro.nn.model import GCNModelSpec
-from repro.parallel.groups import spans_nodes
 from repro.parallel.hierarchy import HierarchicalCommunicator
 from repro.parallel.strategies import LAYER_SCHEMES
 

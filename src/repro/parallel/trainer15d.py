@@ -29,10 +29,9 @@ from typing import Optional, Union
 from repro.baselines.cagnet15d import CAGNET15DTrainer
 from repro.comm.collectives import Communicator
 from repro.datasets.loader import Dataset, SymbolicDataset
-from repro.hardware.spec import MachineSpec
+from repro.hardware.spec import MachineSpec, spans_nodes
 from repro.kernels.cost import KernelCosts
 from repro.nn.model import GCNModelSpec
-from repro.parallel.groups import spans_nodes
 from repro.parallel.hierarchy import HierarchicalCommunicator
 
 

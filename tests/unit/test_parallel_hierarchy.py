@@ -140,8 +140,15 @@ class TestTiming:
         hier = HierarchicalCommunicator(ctx)
         assert not hier.is_hierarchical
         nbytes = BIG[0] * BIG[1] * 4
-        assert hier.broadcast_duration(0, nbytes) == pytest.approx(
-            flat.broadcast_duration(0, nbytes)
+        # one code path: the fallback plan *is* the flat plan
+        assert hier.broadcast_duration(0, nbytes) == flat.broadcast_duration(
+            0, nbytes
+        )
+        assert hier.allreduce_duration(nbytes) == flat.allreduce_duration(
+            nbytes
+        )
+        assert hier.allgather_duration(8 * nbytes) == flat.allgather_duration(
+            8 * nbytes
         )
         payload = rng.random(BIG).astype(np.float32)
         for comm in (flat, hier):
@@ -163,6 +170,61 @@ class TestTiming:
         names = {ev.name for ev in ctx.engine.trace}
         assert any("bc/inter" in n for n in names)
         assert any("bc/intra" in n for n in names)
+
+
+MACHINES = {
+    "dgx1": dgx1,
+    "2node": lambda: multi_node_cluster(2, dgx1()),
+    "4node": lambda: multi_node_cluster(4, dgx1()),
+}
+#: per-rank payload shapes (fp32): latency-bound, mid, bandwidth-bound
+PAYLOADS = [(16, 8), (1000, 257), (50000, 64)]
+
+
+def _executed_end(machine, kind, ranks, collective, shape):
+    """End time of one collective on fresh streams, from t=0."""
+    ctx = SimContext(machine, num_gpus=machine.num_gpus)
+    cls = HierarchicalCommunicator if kind == "hier" else Communicator
+    comm = cls(ctx, ranks=ranks)
+    dev = ctx.device
+    bufs = {r: dev(r).symbolic(shape) for r in ranks}
+    if collective == "broadcast":
+        root = ranks[1]
+        events = comm.broadcast(root, bufs[root], bufs)
+        predicted = comm.broadcast_duration(root, bufs[root].nbytes)
+    elif collective == "allreduce":
+        events = comm.allreduce(bufs)
+        predicted = comm.allreduce_duration(bufs[ranks[0]].nbytes)
+    else:
+        gathered = (shape[0] * len(ranks), shape[1])
+        dsts = {r: dev(r).symbolic(gathered) for r in ranks}
+        events = comm.allgather(bufs, dsts)
+        predicted = comm.allgather_duration(
+            sum(b.nbytes for b in bufs.values())
+        )
+    return predicted, max(ev.time for ev in events.values())
+
+
+class TestPredictorsEqualExecution:
+    """``*_duration(n)`` is the executed end time from t=0, bit for bit:
+    the predictor and the collective time the same phase plan."""
+
+    @pytest.mark.parametrize("collective", ["broadcast", "allreduce",
+                                            "allgather"])
+    @pytest.mark.parametrize("subset", [False, True], ids=["all", "subset"])
+    @pytest.mark.parametrize("kind", ["flat", "hier"])
+    @pytest.mark.parametrize("machine", sorted(MACHINES))
+    def test_duration_is_executed_time(self, machine, kind, subset,
+                                       collective):
+        spec = MACHINES[machine]()
+        ranks = list(range(spec.num_gpus))
+        if subset:
+            ranks = [r for r in (0, 3, 8, 9, 12) if r < spec.num_gpus]
+        for shape in PAYLOADS:
+            predicted, executed = _executed_end(
+                spec, kind, ranks, collective, shape
+            )
+            assert predicted == executed, (shape, predicted, executed)
 
 
 class TestLinkAccounting:
