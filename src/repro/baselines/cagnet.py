@@ -35,19 +35,13 @@ from repro.hardware.machines import dgx1
 from repro.hardware.spec import MachineSpec
 from repro.hardware.topology import Topology
 from repro.kernels.cost import CostModel, KernelCosts
-from repro.kernels.ops import (
-    adam_step_op,
-    gemm,
-    relu_backward,
-    relu_forward,
-    softmax_cross_entropy,
-    spmm,
-)
-from repro.nn.init import init_weights
+from repro.kernels.ops import gemm, relu_backward, softmax_cross_entropy
+from repro.nn.adam import ReplicatedAdam
 from repro.nn.model import GCNModelSpec
+from repro.core.base import TrainerBase, split_mask
 from repro.core.partitioner import DistributedGraph, partition_dataset
 from repro.core.spmm_mg import distributed_spmm
-from repro.core.stats import EpochStats, OpBreakdown
+from repro.core.stats import EpochStats
 
 #: Kernel-efficiency knobs modelling CAGNET's PyTorch(+custom-kernel) stack.
 CAGNET_KERNEL_COSTS = KernelCosts(
@@ -69,7 +63,7 @@ class _SingleBufferAdapter:
         return self._bc.view2d(rows, cols)
 
 
-class CAGNETTrainer:
+class CAGNETTrainer(TrainerBase):
     """The CAGNET 1D algorithm on the simulated machine."""
 
     def __init__(
@@ -83,15 +77,9 @@ class CAGNETTrainer:
         permute: bool = False,
         kernel_costs: Optional[KernelCosts] = None,
     ):
-        self.dataset = dataset
-        self.model = model
-        self.lr = lr
+        super().__init__(dataset, model)
         machine = machine or dgx1()
         mode = Mode.SYMBOLIC if dataset.is_symbolic else Mode.FUNCTIONAL
-        if model.layer_dims[0] != dataset.d0:
-            raise ConfigurationError(
-                f"model input width {model.layer_dims[0]} != dataset d0 {dataset.d0}"
-            )
         self.ctx = SimContext(machine, num_gpus=num_gpus, mode=mode)
         P = self.ctx.num_gpus
         self.graph: DistributedGraph = partition_dataset(
@@ -164,39 +152,7 @@ class CAGNETTrainer:
                 bc = dev.empty((1, 1), name="BC", tag="buffer/broadcast")
             self._bc_adapters.append(_SingleBufferAdapter(bc))
 
-        init = init_weights(dims, seed=seed)
-        self.weights: List[List[DeviceTensor]] = []
-        self.wgrads: List[List[DeviceTensor]] = []
-        self.adam_m: List[List[DeviceTensor]] = []
-        self.adam_v: List[List[DeviceTensor]] = []
-        for i in range(P):
-            dev = self.ctx.device(i)
-            w_l, g_l, m_l, v_l = [], [], [], []
-            for l in range(model.num_layers):
-                shape = (dims[l], dims[l + 1])
-                if mode is Mode.FUNCTIONAL:
-                    w_l.append(dev.from_numpy(init[l].copy(), name=f"W{l}", tag="weights"))
-                    g_l.append(dev.zeros(shape, name=f"WG{l}", tag="weights"))
-                    m_l.append(dev.zeros(shape, name=f"m{l}", tag="adam"))
-                    v_l.append(dev.zeros(shape, name=f"v{l}", tag="adam"))
-                else:
-                    w_l.append(dev.symbolic(shape, name=f"W{l}", tag="weights"))
-                    g_l.append(dev.symbolic(shape, name=f"WG{l}", tag="weights"))
-                    m_l.append(dev.symbolic(shape, name=f"m{l}", tag="adam"))
-                    v_l.append(dev.symbolic(shape, name=f"v{l}", tag="adam"))
-            self.weights.append(w_l)
-            self.wgrads.append(g_l)
-            self.adam_m.append(m_l)
-            self.adam_v.append(v_l)
-        self._adam_t = 0
-        self.epochs_trained = 0
-
-    @property
-    def mode(self) -> Mode:
-        return self.ctx.mode
-
-    def get_weights(self) -> List[np.ndarray]:
-        return [w.copy_to_numpy() for w in self.weights[0]]
+        self.adam = ReplicatedAdam(self.ctx, dims, lr, seed)
 
     # -- passes --------------------------------------------------------------------
 
@@ -227,7 +183,7 @@ class CAGNETTrainer:
                 gemm(
                     engine, self.cost_models[i],
                     self.ctx.device(i).compute_stream,
-                    ah[i], self.weights[i][l], z, name=f"fwd{l}/gemm",
+                    ah[i], self.adam.weights[i][l], z, name=f"fwd{l}/gemm",
                 )
                 if l < L - 1:
                     act = self.act_bufs[i][l]
@@ -271,7 +227,7 @@ class CAGNETTrainer:
         P = self.ctx.num_gpus
         engine = self.ctx.engine
         L = self.model.num_layers
-        self._adam_t += 1
+        self.adam.t += 1
         for l in range(L - 1, -1, -1):
             d_in, d_out = self.model.dims_of(l)
             if l < L - 1:
@@ -302,7 +258,7 @@ class CAGNETTrainer:
                 ev = gemm(
                     engine, self.cost_models[i],
                     self.ctx.device(i).compute_stream,
-                    h_in, hwg[i], self.wgrads[i][l],
+                    h_in, hwg[i], self.adam.grads[i][l],
                     transpose_a=True, name=f"bwd{l}/wgrad",
                 )
                 wg_events[i] = [ev]
@@ -315,66 +271,42 @@ class CAGNETTrainer:
                     gemm(
                         engine, self.cost_models[i],
                         self.ctx.device(i).compute_stream,
-                        hwg[i], self.weights[i][l], hg,
+                        hwg[i], self.adam.weights[i][l], hg,
                         transpose_b=True, name=f"bwd{l}/hgrad",
                     )
                     new_grads.append(hg)
             allreduce_events = self.comm.allreduce(
-                {i: self.wgrads[i][l] for i in range(P)},
+                {i: self.adam.grads[i][l] for i in range(P)},
                 op="sum", deps_by_rank=wg_events, name=f"bwd{l}/allreduce_wg",
             )
             for i in range(P):
-                self._adam(i, l, deps=[allreduce_events[i]])
+                self.adam.step(i, l, self.cost_models[i],
+                               deps=[allreduce_events[i]])
             if l > 0:
                 grads = new_grads
-
-    def _adam(self, rank: int, layer: int, deps: Sequence[Event]) -> None:
-        stream = self.ctx.device(rank).compute_stream
-        w = self.weights[rank][layer]
-        if self.mode is Mode.FUNCTIONAL:
-            adam_step_op(
-                self.ctx.engine, self.cost_models[rank], stream,
-                w.data, self.wgrads[rank][layer].data,
-                self.adam_m[rank][layer].data, self.adam_v[rank][layer].data,
-                t=self._adam_t, lr=self.lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                deps=deps, name=f"adam{layer}",
-            )
-        else:
-            self.ctx.engine.submit(
-                stream, f"adam{layer}", "adam",
-                self.cost_models[rank].adam_time(w.size), deps=deps,
-            )
 
     # -- epochs ----------------------------------------------------------------------
 
     def train_epoch(self) -> EpochStats:
-        t0 = self.ctx.synchronize()
-        trace_start = len(self.ctx.engine.trace)
+        return self._run_epoch(self._passes)
+
+    def _passes(self) -> Optional[float]:
         outputs = self._forward()
-        P = self.ctx.num_gpus
         grads = [
             self.hgrad_scratch[i].view2d(
                 self.graph.local_rows(i), self.model.layer_dims[-1]
             )
-            for i in range(P)
+            for i in range(self.ctx.num_gpus)
         ]
         loss = self._loss(outputs[-1], grads)
         self._backward(outputs, grads)
-        t1 = self.ctx.synchronize()
-        trace = self.ctx.engine.trace[trace_start:]
-        self.epochs_trained += 1
-        return EpochStats(
-            epoch_time=t1 - t0,
-            loss=loss,
-            breakdown=OpBreakdown.from_trace(trace),
-            peak_memory=self.ctx.peak_memory(),
-            trace=list(trace),
-        )
+        return loss
 
-    def fit(self, epochs: int) -> List[EpochStats]:
-        if epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
-        return [self.train_epoch() for _ in range(epochs)]
+    def _scored_rows(self, split: str):
+        masks = split_mask(self.graph, split, per_rank=True)
+        logits = self._forward()[-1]
+        return [(logits[i].data, self.graph.labels[i], masks[i])
+                for i in range(self.ctx.num_gpus)]
 
 
 # ---------------------------------------------------------------------------

@@ -42,18 +42,11 @@ from repro.datasets.loader import Dataset, SymbolicDataset
 from repro.hardware.machines import dgx1
 from repro.hardware.spec import MachineSpec
 from repro.kernels.cost import CostModel, KernelCosts
-from repro.kernels.ops import (
-    adam_step_op,
-    gemm,
-    relu_backward,
-    relu_forward,
-    softmax_cross_entropy,
-    spmm,
-)
-from repro.nn.init import init_weights
+from repro.kernels.ops import gemm, relu_backward, softmax_cross_entropy, spmm
+from repro.nn.adam import ReplicatedAdam
 from repro.nn.model import GCNModelSpec
-from repro.core.stats import EpochStats, OpBreakdown
-from repro.sparse.csr import CSRMatrix
+from repro.core.base import TrainerBase, split_mask
+from repro.core.stats import EpochStats
 from repro.sparse.normalize import gcn_normalize
 from repro.sparse.partition import uniform_partition, tile_grid
 from repro.sparse.permutation import apply_permutation, permute_rows, random_permutation
@@ -61,7 +54,7 @@ from repro.sparse.symbolic import SymbolicCSR
 from repro.baselines.cagnet import CAGNET_KERNEL_COSTS
 
 
-class CAGNET15DTrainer:
+class CAGNET15DTrainer(TrainerBase):
     """The CAGNET 1.5D algorithm on the simulated machine."""
 
     def __init__(
@@ -76,21 +69,15 @@ class CAGNET15DTrainer:
         permute: bool = False,
         kernel_costs: Optional[KernelCosts] = None,
     ):
+        super().__init__(dataset, model)
         machine = machine or dgx1()
         mode = Mode.SYMBOLIC if dataset.is_symbolic else Mode.FUNCTIONAL
-        if model.layer_dims[0] != dataset.d0:
-            raise ConfigurationError(
-                f"model input width {model.layer_dims[0]} != dataset d0 {dataset.d0}"
-            )
         P = num_gpus if num_gpus is not None else machine.num_gpus
         c = int(replication)
         if c < 1 or P % c != 0:
             raise ConfigurationError(
                 f"replication {c} must divide the GPU count {P}"
             )
-        self.dataset = dataset
-        self.model = model
-        self.lr = lr
         self.c = c
         self.R = P // c
         self.ctx = SimContext(machine, num_gpus=P, mode=mode)
@@ -111,9 +98,7 @@ class CAGNET15DTrainer:
 
         self._build_graph(permute, seed)
         self._build_buffers()
-        self._build_weights(seed, mode)
-        self._adam_t = 0
-        self.epochs_trained = 0
+        self.adam = ReplicatedAdam(self.ctx, model.layer_dims, lr, seed)
 
     # -- setup ----------------------------------------------------------------
 
@@ -226,41 +211,6 @@ class CAGNET15DTrainer:
             self.bc[g] = dev.empty((max_rows, max_d), name="BC",
                                    tag="buffer/broadcast")
 
-    def _build_weights(self, seed: int, mode: Mode) -> None:
-        dims = self.model.layer_dims
-        init = init_weights(dims, seed=seed)
-        self.weights: Dict[int, List[DeviceTensor]] = {}
-        self.wgrads: Dict[int, List[DeviceTensor]] = {}
-        self.adam_m: Dict[int, List[DeviceTensor]] = {}
-        self.adam_v: Dict[int, List[DeviceTensor]] = {}
-        for g in range(self.ctx.num_gpus):
-            dev = self.ctx.device(g)
-            w_l, g_l, m_l, v_l = [], [], [], []
-            for l in range(self.model.num_layers):
-                shape = (dims[l], dims[l + 1])
-                if mode is Mode.FUNCTIONAL:
-                    w_l.append(dev.from_numpy(init[l].copy(), name=f"W{l}",
-                                              tag="weights"))
-                    g_l.append(dev.zeros(shape, name=f"WG{l}", tag="weights"))
-                    m_l.append(dev.zeros(shape, name=f"m{l}", tag="adam"))
-                    v_l.append(dev.zeros(shape, name=f"v{l}", tag="adam"))
-                else:
-                    w_l.append(dev.symbolic(shape, name=f"W{l}", tag="weights"))
-                    g_l.append(dev.symbolic(shape, name=f"WG{l}", tag="weights"))
-                    m_l.append(dev.symbolic(shape, name=f"m{l}", tag="adam"))
-                    v_l.append(dev.symbolic(shape, name=f"v{l}", tag="adam"))
-            self.weights[g] = w_l
-            self.wgrads[g] = g_l
-            self.adam_m[g] = m_l
-            self.adam_v[g] = v_l
-
-    @property
-    def mode(self) -> Mode:
-        return self.ctx.mode
-
-    def get_weights(self) -> List[np.ndarray]:
-        return [w.copy_to_numpy() for w in self.weights[0]]
-
     # -- the 1.5D distributed SpMM -----------------------------------------------
 
     def _spmm_15d(
@@ -357,7 +307,7 @@ class CAGNET15DTrainer:
                 z = self.z_bufs[g][l]
                 gemm(engine, self.cost_models[g],
                      self.ctx.device(g).compute_stream,
-                     ah[g], self.weights[g][l], z, name=f"fwd{l}/gemm")
+                     ah[g], self.adam.weights[g][l], z, name=f"fwd{l}/gemm")
                 if l < L - 1:
                     act = self.act_bufs[g][l]
                     if z.data is not None:
@@ -395,7 +345,7 @@ class CAGNET15DTrainer:
                   grads: Dict[int, DeviceTensor]) -> None:
         engine = self.ctx.engine
         L = self.model.num_layers
-        self._adam_t += 1
+        self.adam.t += 1
         for l in range(L - 1, -1, -1):
             d_in, d_out = self.model.dims_of(l)
             if l < L - 1:
@@ -416,7 +366,7 @@ class CAGNET15DTrainer:
                 ev = gemm(
                     engine, self.cost_models[g],
                     self.ctx.device(g).compute_stream,
-                    h_in, hwg[g], self.wgrads[g][l],
+                    h_in, hwg[g], self.adam.grads[g][l],
                     transpose_a=True, name=f"bwd{l}/wgrad",
                 )
                 wg_events[g] = [ev]
@@ -429,7 +379,7 @@ class CAGNET15DTrainer:
                     gemm(
                         engine, self.cost_models[g],
                         self.ctx.device(g).compute_stream,
-                        hwg[g], self.weights[g][l], hg,
+                        hwg[g], self.adam.weights[g][l], hg,
                         transpose_b=True, name=f"bwd{l}/hgrad",
                     )
                     new_grads[g] = hg
@@ -437,12 +387,12 @@ class CAGNET15DTrainer:
             # computed identical partials, so allreduce with mean over
             # layers x sum over rows == sum over blocks.
             allred = self.world_comm.allreduce(
-                {g: self.wgrads[g][l] for g in range(self.ctx.num_gpus)},
+                {g: self.adam.grads[g][l] for g in range(self.ctx.num_gpus)},
                 op="sum", deps_by_rank=wg_events, name=f"bwd{l}/allreduce_wg",
             )
             for g in range(self.ctx.num_gpus):
                 # replicas double count: rescale by 1/c
-                wgrad = self.wgrads[g][l]
+                wgrad = self.adam.grads[g][l]
                 if wgrad.data is not None:
                     wgrad.data /= self.c
                 engine.submit(
@@ -451,32 +401,16 @@ class CAGNET15DTrainer:
                     self.cost_models[g].elementwise_time(wgrad.size, 1, 1),
                     deps=[allred[g]],
                 )
-                self._adam(g, l)
+                self.adam.step(g, l, self.cost_models[g])
             if l > 0:
                 grads = new_grads
-
-    def _adam(self, g: int, layer: int) -> None:
-        stream = self.ctx.device(g).compute_stream
-        w = self.weights[g][layer]
-        if self.mode is Mode.FUNCTIONAL:
-            adam_step_op(
-                self.ctx.engine, self.cost_models[g], stream,
-                w.data, self.wgrads[g][layer].data,
-                self.adam_m[g][layer].data, self.adam_v[g][layer].data,
-                t=self._adam_t, lr=self.lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                name=f"adam{layer}",
-            )
-        else:
-            self.ctx.engine.submit(
-                stream, f"adam{layer}", "adam",
-                self.cost_models[g].adam_time(w.size),
-            )
 
     # -- epochs ------------------------------------------------------------------------
 
     def train_epoch(self) -> EpochStats:
-        t0 = self.ctx.synchronize()
-        trace_start = len(self.ctx.engine.trace)
+        return self._run_epoch(self._passes)
+
+    def _passes(self) -> Optional[float]:
         outputs = self._forward()
         grads = {
             g: self.hgrad_scratch[g].view2d(
@@ -486,44 +420,11 @@ class CAGNET15DTrainer:
         }
         loss = self._loss(outputs[-1], grads)
         self._backward(outputs, grads)
-        t1 = self.ctx.synchronize()
-        trace = self.ctx.engine.trace[trace_start:]
-        self.epochs_trained += 1
-        return EpochStats(
-            epoch_time=t1 - t0,
-            loss=loss,
-            breakdown=OpBreakdown.from_trace(trace),
-            peak_memory=self.ctx.peak_memory(),
-            trace=list(trace),
-        )
+        return loss
 
-    def fit(self, epochs: int) -> List[EpochStats]:
-        if epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
-        return [self.train_epoch() for _ in range(epochs)]
-
-    def evaluate(self, split: str = "test") -> float:
-        """Accuracy over ``split``; reads layer-0 replicas (functional only)."""
-        if self.mode is not Mode.FUNCTIONAL:
-            raise ConfigurationError("evaluate() requires functional mode")
-        masks = {
-            "train": self.train_masks,
-            "val": self.val_masks,
-            "test": self.test_masks,
-        }
-        if split not in masks:
-            raise ConfigurationError(f"unknown split {split!r}")
+    def _scored_rows(self, split: str):
+        """Each row block once, from its layer-0 replica."""
+        masks = split_mask(self, split, per_rank=True)
         logits = self._forward()[-1]
-        correct = 0
-        count = 0
-        for i in range(self.R):
-            g = self._gpu(i, 0)
-            mask = masks[split][g]
-            if mask is None or not mask.any():
-                continue
-            pred = np.argmax(logits[g].data[mask], axis=1)
-            correct += int((pred == self.labels[g][mask]).sum())
-            count += int(mask.sum())
-        if count == 0:
-            raise ConfigurationError(f"empty {split!r} split")
-        return correct / count
+        return [(logits[g].data, self.labels[g], masks[g])
+                for g in (self._gpu(i, 0) for i in range(self.R))]

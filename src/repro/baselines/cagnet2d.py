@@ -40,11 +40,11 @@ from repro.datasets.loader import Dataset, SymbolicDataset
 from repro.hardware.machines import dgx1
 from repro.hardware.spec import MachineSpec
 from repro.kernels.cost import CostModel, KernelCosts
-from repro.kernels.ops import adam_step_op, gemm, softmax_cross_entropy, spmm
-from repro.nn.init import init_weights
+from repro.kernels.ops import softmax_cross_entropy, spmm
+from repro.nn.adam import ReplicatedAdam
 from repro.nn.model import GCNModelSpec
-from repro.core.stats import EpochStats, OpBreakdown
-from repro.sparse.csr import CSRMatrix
+from repro.core.base import TrainerBase, split_mask
+from repro.core.stats import EpochStats
 from repro.sparse.normalize import gcn_normalize
 from repro.sparse.partition import PartitionVector, uniform_partition, tile_grid
 from repro.sparse.permutation import apply_permutation, permute_rows, random_permutation
@@ -59,7 +59,7 @@ def _isqrt(P: int) -> int:
     return r
 
 
-class CAGNET2DTrainer:
+class CAGNET2DTrainer(TrainerBase):
     """CAGNET's 2D (SUMMA) algorithm on the simulated machine."""
 
     def __init__(
@@ -73,12 +73,9 @@ class CAGNET2DTrainer:
         permute: bool = False,
         kernel_costs: Optional[KernelCosts] = None,
     ):
+        super().__init__(dataset, model)
         machine = machine or dgx1()
         mode = Mode.SYMBOLIC if dataset.is_symbolic else Mode.FUNCTIONAL
-        if model.layer_dims[0] != dataset.d0:
-            raise ConfigurationError(
-                f"model input width {model.layer_dims[0]} != dataset d0 {dataset.d0}"
-            )
         P = num_gpus if num_gpus is not None else machine.num_gpus
         self.r = _isqrt(P)
         if min(model.layer_dims) < self.r:
@@ -86,9 +83,6 @@ class CAGNET2DTrainer:
                 f"2D grid of {self.r} columns cannot split width "
                 f"{min(model.layer_dims)}"
             )
-        self.dataset = dataset
-        self.model = model
-        self.lr = lr
         self.ctx = SimContext(machine, num_gpus=P, mode=mode)
         costs = kernel_costs or CAGNET_KERNEL_COSTS
         self.cost_models = [CostModel(machine.gpu, costs) for _ in range(P)]
@@ -110,9 +104,8 @@ class CAGNET2DTrainer:
             d: uniform_partition(d, r) for d in set(model.layer_dims)
         }
         self._build_graph(permute, seed)
-        self._build_state(seed, mode)
-        self._adam_t = 0
-        self.epochs_trained = 0
+        self._build_buffers()
+        self.adam = ReplicatedAdam(self.ctx, model.layer_dims, lr, seed)
 
     # -- setup ---------------------------------------------------------------
 
@@ -190,7 +183,7 @@ class CAGNET2DTrainer:
                     tag="adjacency",
                 )
 
-    def _build_state(self, seed: int, mode: Mode) -> None:
+    def _build_buffers(self) -> None:
         dims = self.model.layer_dims
         r = self.r
         max_rows = max(self.row_part.sizes())
@@ -234,39 +227,6 @@ class CAGNET2DTrainer:
                 )
                 for l in range(self.model.num_layers)
             ]
-
-        init = init_weights(dims, seed=seed)
-        self.weights: Dict[int, List[DeviceTensor]] = {}
-        self.wgrads: Dict[int, List[DeviceTensor]] = {}
-        self.adam_m: Dict[int, List[DeviceTensor]] = {}
-        self.adam_v: Dict[int, List[DeviceTensor]] = {}
-        for g in range(self.ctx.num_gpus):
-            dev = self.ctx.device(g)
-            w_l, g_l, m_l, v_l = [], [], [], []
-            for l in range(self.model.num_layers):
-                shape = (dims[l], dims[l + 1])
-                if mode is Mode.FUNCTIONAL:
-                    w_l.append(dev.from_numpy(init[l].copy(), name=f"W{l}",
-                                              tag="weights"))
-                    g_l.append(dev.zeros(shape, name=f"WG{l}", tag="weights"))
-                    m_l.append(dev.zeros(shape, name=f"m{l}", tag="adam"))
-                    v_l.append(dev.zeros(shape, name=f"v{l}", tag="adam"))
-                else:
-                    w_l.append(dev.symbolic(shape, name=f"W{l}", tag="weights"))
-                    g_l.append(dev.symbolic(shape, name=f"WG{l}", tag="weights"))
-                    m_l.append(dev.symbolic(shape, name=f"m{l}", tag="adam"))
-                    v_l.append(dev.symbolic(shape, name=f"v{l}", tag="adam"))
-            self.weights[g] = w_l
-            self.wgrads[g] = g_l
-            self.adam_m[g] = m_l
-            self.adam_v[g] = v_l
-
-    @property
-    def mode(self) -> Mode:
-        return self.ctx.mode
-
-    def get_weights(self) -> List[np.ndarray]:
-        return [w.copy_to_numpy() for w in self.weights[0]]
 
     # -- SUMMA SpMM ---------------------------------------------------------------
 
@@ -392,7 +352,8 @@ class CAGNET2DTrainer:
                 i, j = divmod(g, r)
                 rows = self.row_part.size(i)
                 c0, c1 = in_part.part(j)
-                w_block = self.weights[g][l].view(self.weights[g][l].rows)
+                w = self.adam.weights[g][l]
+                w_block = w.view(w.rows)
                 w_slice = (
                     w_block.data[c0:c1] if w_block.data is not None else None
                 )
@@ -477,7 +438,7 @@ class CAGNET2DTrainer:
         engine = self.ctx.engine
         r = self.r
         L = self.model.num_layers
-        self._adam_t += 1
+        self.adam.t += 1
         for l in range(L - 1, -1, -1):
             d_in, d_out = self.model.dims_of(l)
             in_part = self.col_parts[d_in]
@@ -540,7 +501,7 @@ class CAGNET2DTrainer:
                         else slices_per_layer[l - 1][g])
                 part_for_block = in_part
                 c0, c1 = part_for_block.part(j)
-                wg = self.wgrads[g][l]
+                wg = self.adam.grads[g][l]
                 if wg.data is not None and h_in.data is not None:
                     wg.data.fill(0.0)
                     wg.data[c0:c1] = h_in.data.T @ hwg_full[g].data
@@ -551,7 +512,7 @@ class CAGNET2DTrainer:
                     ),
                 )
             self.world_comm.allreduce(
-                {g: self.wgrads[g][l] for g in range(self.ctx.num_gpus)},
+                {g: self.adam.grads[g][l] for g in range(self.ctx.num_gpus)},
                 op="sum", name=f"bwd{l}/allreduce_wg",
             )
             # replicas along each grid column computed identical block
@@ -567,7 +528,7 @@ class CAGNET2DTrainer:
                     target = self.ah_full[g].view2d(rows, d_in)
                     if hwg_full[g].data is not None:
                         np.matmul(
-                            hwg_full[g].data, self.weights[g][l].data.T,
+                            hwg_full[g].data, self.adam.weights[g][l].data.T,
                             out=target.data,
                         )
                     engine.submit(
@@ -577,72 +538,23 @@ class CAGNET2DTrainer:
                     )
                     grads_full[g] = target
             for g in range(self.ctx.num_gpus):
-                self._adam(g, l)
-
-    def _adam(self, g: int, layer: int) -> None:
-        stream = self.ctx.device(g).compute_stream
-        w = self.weights[g][layer]
-        if self.mode is Mode.FUNCTIONAL:
-            adam_step_op(
-                self.ctx.engine, self.cost_models[g], stream,
-                w.data, self.wgrads[g][layer].data,
-                self.adam_m[g][layer].data, self.adam_v[g][layer].data,
-                t=self._adam_t, lr=self.lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                name=f"adam{layer}",
-            )
-        else:
-            self.ctx.engine.submit(
-                stream, f"adam{layer}", "adam",
-                self.cost_models[g].adam_time(w.size),
-            )
+                self.adam.step(g, l, self.cost_models[g])
 
     # -- epochs -------------------------------------------------------------------------
 
     def train_epoch(self) -> EpochStats:
-        t0 = self.ctx.synchronize()
-        trace_start = len(self.ctx.engine.trace)
+        return self._run_epoch(self._passes)
+
+    def _passes(self) -> Optional[float]:
         slices_per_layer, full_per_layer = self._forward()
         loss, grads_full = self._loss_and_grad_full(full_per_layer[-1])
         self._backward(slices_per_layer, full_per_layer, grads_full)
-        t1 = self.ctx.synchronize()
-        trace = self.ctx.engine.trace[trace_start:]
-        self.epochs_trained += 1
-        return EpochStats(
-            epoch_time=t1 - t0,
-            loss=loss,
-            breakdown=OpBreakdown.from_trace(trace),
-            peak_memory=self.ctx.peak_memory(),
-            trace=list(trace),
-        )
+        return loss
 
-    def fit(self, epochs: int) -> List[EpochStats]:
-        if epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
-        return [self.train_epoch() for _ in range(epochs)]
-
-    def evaluate(self, split: str = "test") -> float:
-        """Accuracy over ``split`` (functional only; uses column-0 procs'
-        row-replicated full logits)."""
-        if self.mode is not Mode.FUNCTIONAL:
-            raise ConfigurationError("evaluate() requires functional mode")
-        masks = {
-            "train": self.train_masks,
-            "val": self.val_masks,
-            "test": self.test_masks,
-        }
-        if split not in masks:
-            raise ConfigurationError(f"unknown split {split!r}")
+    def _scored_rows(self, split: str):
+        """Each row block once, from the column-0 proc's row-replicated
+        full logits."""
+        masks = split_mask(self, split, per_rank=True)
         _slices, fulls = self._forward()
-        correct = 0
-        count = 0
-        for i in range(self.r):
-            g = self._gpu(i, 0)
-            mask = masks[split][g]
-            if mask is None or not mask.any():
-                continue
-            pred = np.argmax(fulls[-1][g][mask], axis=1)
-            correct += int((pred == self.labels[g][mask]).sum())
-            count += int(mask.sum())
-        if count == 0:
-            raise ConfigurationError(f"empty {split!r} split")
-        return correct / count
+        return [(fulls[-1][g], self.labels[g], masks[g])
+                for g in (self._gpu(i, 0) for i in range(self.r))]

@@ -31,18 +31,13 @@ from repro.datasets.loader import Dataset, SymbolicDataset
 from repro.hardware.machines import single_gpu
 from repro.hardware.spec import GPUSpec, MachineSpec
 from repro.kernels.cost import CostModel, KernelCosts
-from repro.kernels.ops import (
-    adam_step_op,
-    gemm,
-    relu_backward,
-    softmax_cross_entropy,
-    spmm,
-)
+from repro.kernels.ops import gemm, relu_backward, softmax_cross_entropy, spmm
+from repro.nn.adam import ReplicatedAdam
 from repro.nn.buffers import EagerBufferManager
-from repro.nn.init import init_weights
 from repro.nn.model import GCNModelSpec
+from repro.core.base import TrainerBase, split_mask
 from repro.core.order import ComputeOrder, choose_forward_order
-from repro.core.stats import EpochStats, OpBreakdown
+from repro.core.stats import EpochStats
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.normalize import gcn_normalize
 from repro.sparse.symbolic import SymbolicCSR
@@ -57,7 +52,7 @@ DGL_KERNEL_COSTS = KernelCosts(
 )
 
 
-class DGLLikeTrainer:
+class DGLLikeTrainer(TrainerBase):
     """Single-GPU full-batch GCN the way DGL runs it."""
 
     def __init__(
@@ -74,13 +69,7 @@ class DGLLikeTrainer:
             gpu = machine.gpu
         if gpu is None:
             raise ConfigurationError("DGLLikeTrainer needs a gpu or machine")
-        if model.layer_dims[0] != dataset.d0:
-            raise ConfigurationError(
-                f"model input width {model.layer_dims[0]} != dataset d0 {dataset.d0}"
-            )
-        self.dataset = dataset
-        self.model = model
-        self.lr = lr
+        super().__init__(dataset, model)
         mode = Mode.SYMBOLIC if dataset.is_symbolic else Mode.FUNCTIONAL
         self.ctx = SimContext(single_gpu(gpu, name="dgl-gpu"), num_gpus=1, mode=mode)
         self.dev = self.ctx.device(0)
@@ -125,34 +114,7 @@ class DGLLikeTrainer:
             for i in range(2)
         ]
 
-        init = init_weights(model.layer_dims, seed=seed)
-        self.weights: List[DeviceTensor] = []
-        self.wgrads: List[DeviceTensor] = []
-        self.adam_m: List[DeviceTensor] = []
-        self.adam_v: List[DeviceTensor] = []
-        for l in range(model.num_layers):
-            shape = (model.layer_dims[l], model.layer_dims[l + 1])
-            if mode is Mode.FUNCTIONAL:
-                self.weights.append(
-                    self.dev.from_numpy(init[l].copy(), name=f"W{l}", tag="weights")
-                )
-                self.wgrads.append(self.dev.zeros(shape, name=f"WG{l}", tag="weights"))
-                self.adam_m.append(self.dev.zeros(shape, name=f"m{l}", tag="adam"))
-                self.adam_v.append(self.dev.zeros(shape, name=f"v{l}", tag="adam"))
-            else:
-                self.weights.append(self.dev.symbolic(shape, name=f"W{l}", tag="weights"))
-                self.wgrads.append(self.dev.symbolic(shape, name=f"WG{l}", tag="weights"))
-                self.adam_m.append(self.dev.symbolic(shape, name=f"m{l}", tag="adam"))
-                self.adam_v.append(self.dev.symbolic(shape, name=f"v{l}", tag="adam"))
-        self._adam_t = 0
-        self.epochs_trained = 0
-
-    @property
-    def mode(self) -> Mode:
-        return self.ctx.mode
-
-    def get_weights(self) -> List[np.ndarray]:
-        return [w.copy_to_numpy() for w in self.weights]
+        self.adam = ReplicatedAdam(self.ctx, model.layer_dims, lr, seed)
 
     # -- passes -------------------------------------------------------------------
 
@@ -161,6 +123,7 @@ class DGLLikeTrainer:
         engine = self.ctx.engine
         stream = self.dev.compute_stream
         L = self.model.num_layers
+        weights = self.adam.weights[0]
         h = self.features
         outputs: List[DeviceTensor] = []
         for l in range(L):
@@ -171,7 +134,7 @@ class DGLLikeTrainer:
             buf_act = self.buffers.layer_buffer(l, 2)
             if order is ComputeOrder.GEMM_FIRST:
                 hw = buf_a
-                gemm(engine, self.cost, stream, h, self.weights[l], hw,
+                gemm(engine, self.cost, stream, h, weights[l], hw,
                      name=f"fwd{l}/gemm")
                 spmm(engine, self.cost, stream, self.a_hat_t, hw, buf_b,
                      accumulate=False, name=f"fwd{l}/spmm")
@@ -182,7 +145,7 @@ class DGLLikeTrainer:
                 ah = buf_a.view2d(buf_a.rows, d_in)
                 spmm(engine, self.cost, stream, self.a_hat_t, h, ah,
                      accumulate=False, name=f"fwd{l}/spmm")
-                gemm(engine, self.cost, stream, ah, self.weights[l], buf_b,
+                gemm(engine, self.cost, stream, ah, weights[l], buf_b,
                      name=f"fwd{l}/gemm")
             if l < L - 1:
                 # out-of-place ReLU (no fusion): read buf_b, write buf_act.
@@ -226,7 +189,8 @@ class DGLLikeTrainer:
         engine = self.ctx.engine
         stream = self.dev.compute_stream
         L = self.model.num_layers
-        self._adam_t += 1
+        weights, wgrads = self.adam.weights[0], self.adam.grads[0]
+        self.adam.t += 1
         for l in range(L - 1, -1, -1):
             d_in, d_out = self.model.dims_of(l)
             if l < L - 1:
@@ -237,67 +201,27 @@ class DGLLikeTrainer:
             spmm(engine, self.cost, stream, self.a_hat, grad, hwg,
                  accumulate=False, name=f"bwd{l}/spmm")
             h_in = self.features if l == 0 else outputs[l - 1]
-            gemm(engine, self.cost, stream, h_in, hwg, self.wgrads[l],
+            gemm(engine, self.cost, stream, h_in, hwg, wgrads[l],
                  transpose_a=True, name=f"bwd{l}/wgrad")
             if l > 0:
                 hgrad = self._scratch[1].view2d(self.dataset.n, d_in)
-                gemm(engine, self.cost, stream, hwg, self.weights[l], hgrad,
+                gemm(engine, self.cost, stream, hwg, weights[l], hgrad,
                      transpose_b=True, name=f"bwd{l}/hgrad")
                 grad = hgrad
-            self._adam(l)
-
-    def _adam(self, layer: int) -> None:
-        stream = self.dev.compute_stream
-        w = self.weights[layer]
-        if self.mode is Mode.FUNCTIONAL:
-            adam_step_op(
-                self.ctx.engine, self.cost, stream,
-                w.data, self.wgrads[layer].data,
-                self.adam_m[layer].data, self.adam_v[layer].data,
-                t=self._adam_t, lr=self.lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                name=f"adam{layer}",
-            )
-        else:
-            self.ctx.engine.submit(
-                stream, f"adam{layer}", "adam", self.cost.adam_time(w.size)
-            )
+            self.adam.step(0, l, self.cost)
 
     # -- epochs --------------------------------------------------------------------
 
     def train_epoch(self) -> EpochStats:
-        t0 = self.ctx.synchronize()
-        trace_start = len(self.ctx.engine.trace)
+        return self._run_epoch(self._passes)
+
+    def _passes(self) -> Optional[float]:
         outputs = self._forward()
         grad = self._scratch[1].view2d(self.dataset.n, self.model.layer_dims[-1])
         loss = self._loss(outputs[-1], grad)
         self._backward(outputs, grad)
-        t1 = self.ctx.synchronize()
-        trace = self.ctx.engine.trace[trace_start:]
-        self.epochs_trained += 1
-        return EpochStats(
-            epoch_time=t1 - t0,
-            loss=loss,
-            breakdown=OpBreakdown.from_trace(trace),
-            peak_memory=self.ctx.peak_memory(),
-            trace=list(trace),
-        )
+        return loss
 
-    def fit(self, epochs: int) -> List[EpochStats]:
-        if epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
-        return [self.train_epoch() for _ in range(epochs)]
-
-    def evaluate(self, split: str = "test") -> float:
-        if self.mode is not Mode.FUNCTIONAL:
-            raise ConfigurationError("evaluate() requires functional mode")
-        masks = {
-            "train": self.dataset.train_mask,
-            "val": self.dataset.val_mask,
-            "test": self.dataset.test_mask,
-        }
-        if split not in masks:
-            raise ConfigurationError(f"unknown split {split!r}")
-        mask = masks[split]
-        logits = self._forward()[-1]
-        pred = np.argmax(logits.data[mask], axis=1)
-        return float((pred == self.dataset.labels[mask]).mean())
+    def _scored_rows(self, split: str):
+        mask = split_mask(self.dataset, split)
+        return [(self._forward()[-1].data, self.dataset.labels, mask)]

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.device.engine import TraceEvent
+from repro.device.engine import SimContext, TraceEvent
 
 #: op categories reported in Fig. 5's breakdown, in the figure's order.
 BREAKDOWN_CATEGORIES: Tuple[str, ...] = (
@@ -69,3 +69,26 @@ class EpochStats:
     @property
     def spmm_time(self) -> float:
         return self.category_time("spmm")
+
+
+def run_epoch(
+    ctx: SimContext, body: Callable[[], Optional[float]]
+) -> EpochStats:
+    """Run one epoch's ``body`` between two device-wide barriers.
+
+    ``body`` submits the epoch's work and returns its loss (None when
+    symbolic). The epoch's time is the span between the barriers, and
+    its trace and breakdown are the events the body appended.
+    """
+    t0 = ctx.synchronize()
+    trace_start = len(ctx.engine.trace)
+    loss = body()
+    t1 = ctx.synchronize()
+    trace = ctx.engine.trace[trace_start:]
+    return EpochStats(
+        epoch_time=t1 - t0,
+        loss=loss,
+        breakdown=OpBreakdown.from_trace(trace),
+        peak_memory=ctx.peak_memory(),
+        trace=trace,
+    )

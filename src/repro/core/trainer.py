@@ -18,7 +18,7 @@ runs on metadata-only tensors (paper-scale graphs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -33,7 +33,6 @@ from repro.hardware.machines import dgx1
 from repro.hardware.spec import MachineSpec
 from repro.kernels.cost import CostModel, KernelCosts
 from repro.kernels.ops import (
-    adam_step_op,
     gemm_many,
     gemm_relu_backward_many,
     relu_many,
@@ -41,10 +40,11 @@ from repro.kernels.ops import (
 )
 from repro.cache import CachePolicy, TrainingTileCache
 from repro.config import FLOAT_SIZE
+from repro.nn.adam import ReplicatedAdam
 from repro.nn.buffers import SharedBufferManager
-from repro.nn.init import init_weights
 from repro.nn.model import GCNModelSpec
 from repro.plan import ExecutionPlan, PlanCapture, PlanStats
+from repro.core.base import TrainerBase, split_mask
 from repro.core.order import ComputeOrder, broadcast_width, choose_forward_order
 from repro.core.partitioner import (
     PARTITION_STRATEGIES,
@@ -53,7 +53,7 @@ from repro.core.partitioner import (
     stage_degree_scores,
 )
 from repro.core.spmm_mg import distributed_spmm
-from repro.core.stats import EpochStats, OpBreakdown
+from repro.core.stats import EpochStats
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ class TrainerConfig:
             )
 
 
-class MGGCNTrainer:
+class MGGCNTrainer(TrainerBase):
     """Multi-GPU full-batch GCN trainer on a simulated machine."""
 
     def __init__(
@@ -147,20 +147,10 @@ class MGGCNTrainer:
         num_gpus: Optional[int] = None,
         config: Optional[TrainerConfig] = None,
     ):
-        self.dataset = dataset
-        self.model = model
+        super().__init__(dataset, model)
         self.config = config or TrainerConfig()
         machine = machine or dgx1()
         mode = Mode.SYMBOLIC if dataset.is_symbolic else Mode.FUNCTIONAL
-        if model.layer_dims[0] != dataset.d0:
-            raise ConfigurationError(
-                f"model input width {model.layer_dims[0]} != dataset d0 {dataset.d0}"
-            )
-        if model.layer_dims[-1] != dataset.num_classes:
-            raise ConfigurationError(
-                f"model output width {model.layer_dims[-1]} != "
-                f"num_classes {dataset.num_classes}"
-            )
         self.ctx = SimContext(
             machine,
             num_gpus=num_gpus,
@@ -214,36 +204,8 @@ class MGGCNTrainer:
             for i in range(P)
         ]
 
-        # Replicated weights / gradients / Adam moments, one copy per GPU
-        # (accounted on every device; functionally identical across ranks).
-        init = init_weights(dims, seed=self.config.seed)
-        self.weights: List[List[DeviceTensor]] = []
-        self.wgrads: List[List[DeviceTensor]] = []
-        self.adam_m: List[List[DeviceTensor]] = []
-        self.adam_v: List[List[DeviceTensor]] = []
-        for i in range(P):
-            dev = self.ctx.device(i)
-            w_list, g_list, m_list, v_list = [], [], [], []
-            for l in range(model.num_layers):
-                shape = (dims[l], dims[l + 1])
-                if mode is Mode.FUNCTIONAL:
-                    w_list.append(
-                        dev.from_numpy(init[l].copy(), name=f"W{l}", tag="weights")
-                    )
-                    g_list.append(dev.zeros(shape, name=f"WG{l}", tag="weights"))
-                    m_list.append(dev.zeros(shape, name=f"m{l}", tag="adam"))
-                    v_list.append(dev.zeros(shape, name=f"v{l}", tag="adam"))
-                else:
-                    w_list.append(dev.symbolic(shape, name=f"W{l}", tag="weights"))
-                    g_list.append(dev.symbolic(shape, name=f"WG{l}", tag="weights"))
-                    m_list.append(dev.symbolic(shape, name=f"m{l}", tag="adam"))
-                    v_list.append(dev.symbolic(shape, name=f"v{l}", tag="adam"))
-            self.weights.append(w_list)
-            self.wgrads.append(g_list)
-            self.adam_m.append(m_list)
-            self.adam_v.append(v_list)
-        self._adam_t = 0
-        self.epochs_trained = 0
+        self.adam = ReplicatedAdam(self.ctx, dims, self.config.lr,
+                                   self.config.seed)
 
         #: training-time remote-tile cache (forward broadcasts only);
         #: None when disabled or pointless (single GPU).
@@ -279,14 +241,6 @@ class MGGCNTrainer:
     @property
     def num_gpus(self) -> int:
         return self.ctx.num_gpus
-
-    @property
-    def mode(self) -> Mode:
-        return self.ctx.mode
-
-    def get_weights(self) -> List[np.ndarray]:
-        """Host copies of the (rank-0) weights, functional mode only."""
-        return [w.copy_to_numpy() for w in self.weights[0]]
 
     def _forward_broadcast_bytes(self) -> int:
         """Full forward broadcast bytes of one epoch (auto-budget base)."""
@@ -371,7 +325,7 @@ class MGGCNTrainer:
                     engine,
                     [
                         (streams[i], self.cost_models[i], inputs[i],
-                         self.weights[i][l], hw_views[i], ())
+                         self.adam.weights[i][l], hw_views[i], ())
                         for i in range(P)
                     ],
                     name=f"fwd{l}/gemm",
@@ -399,7 +353,7 @@ class MGGCNTrainer:
                     engine,
                     [
                         (streams[i], self.cost_models[i], ah_views[i],
-                         self.weights[i][l], outs[i], ())
+                         self.adam.weights[i][l], outs[i], ())
                         for i in range(P)
                     ],
                     name=f"fwd{l}/gemm",
@@ -445,7 +399,7 @@ class MGGCNTrainer:
         engine = self.ctx.engine
         L = self.model.num_layers
         streams = [self.ctx.device(i).compute_stream for i in range(P)]
-        self._adam_t += 1
+        self.adam.t += 1
         for l in range(L - 1, -1, -1):
             d_in, d_out = self.model.dims_of(l)
             grads = layer_outputs[l]  # holds AHW_G^(l) (mask already applied)
@@ -469,7 +423,7 @@ class MGGCNTrainer:
                 engine,
                 [
                     (streams[i], self.cost_models[i], h_in[i], hwg[i],
-                     self.wgrads[i][l], ())
+                     self.adam.grads[i][l], ())
                     for i in range(P)
                 ],
                 transpose_a=True,
@@ -484,53 +438,21 @@ class MGGCNTrainer:
                     engine,
                     [
                         (streams[i], self.cost_models[i], hwg[i],
-                         self.weights[i][l], layer_outputs[l - 1][i], ())
+                         self.adam.weights[i][l], layer_outputs[l - 1][i], ())
                         for i in range(P)
                     ],
                     transpose_b=True,
                     name=f"bwd{l}/hgrad",
                 )
             allreduce_events = self.comm.allreduce(
-                {i: self.wgrads[i][l] for i in range(P)},
+                {i: self.adam.grads[i][l] for i in range(P)},
                 op="sum",
                 deps_by_rank=wg_events,
                 name=f"bwd{l}/allreduce_wg",
             )
             for i in range(P):
-                self._adam_step(i, l, deps=[allreduce_events[i]])
-
-    def _adam_step(self, rank: int, layer: int, deps: Sequence[Event]) -> None:
-        cost = self.cost_models[rank]
-        stream = self.ctx.device(rank).compute_stream
-        w = self.weights[rank][layer]
-        if self.mode is Mode.FUNCTIONAL:
-            adam_step_op(
-                self.ctx.engine,
-                cost,
-                stream,
-                w.data,
-                self.wgrads[rank][layer].data,
-                self.adam_m[rank][layer].data,
-                self.adam_v[rank][layer].data,
-                # callable, not the bare int: a captured closure must read
-                # the live step count on every replayed epoch.
-                t=lambda: self._adam_t,
-                lr=self.config.lr,
-                beta1=0.9,
-                beta2=0.999,
-                eps=1e-8,
-                deps=deps,
-                name=f"adam{layer}",
-            )
-        else:
-            self.ctx.engine.submit(
-                stream,
-                f"adam{layer}",
-                "adam",
-                cost.adam_time(w.size),
-                deps=deps,
-                flops=10.0 * w.size,
-            )
+                self.adam.step(i, l, self.cost_models[i],
+                               deps=[allreduce_events[i]])
 
     # -- epoch loop --------------------------------------------------------------------------
 
@@ -583,64 +505,47 @@ class MGGCNTrainer:
                 self.invalidate_plan()
                 self._plan_sig = sig
         self.plan_stats.eager_epochs += 1
-        return self._train_epoch_eager()
+        return self._run_epoch(self._passes)
 
-    def _train_epoch_eager(self) -> EpochStats:
-        """The eagerly-scheduled epoch (reference path)."""
-        t0 = self.ctx.synchronize()
-        trace_start = len(self.ctx.engine.trace)
+    def _passes(self) -> Optional[float]:
+        """One eagerly-scheduled epoch (the reference path): forward,
+        loss, and backward with the Adam steps; returns the loss."""
         layer_outputs = self._forward()
         loss = self._loss(layer_outputs[-1])
         self._backward(layer_outputs)
-        t1 = self.ctx.synchronize()
-        return self._finish_epoch(t0, t1, loss, trace_start)
+        return loss
 
     def _capture_epoch(self, phase: Optional[str]) -> EpochStats:
         """Run one eager epoch while recording it into ``phase``'s plan."""
-        t0 = self.ctx.synchronize()
-        trace_start = len(self.ctx.engine.trace)
-        capture = PlanCapture(self.ctx.engine)
-        capture.begin()
-        try:
-            layer_outputs = self._forward()
-            loss = self._loss(layer_outputs[-1])
-            self._backward(layer_outputs)
-        finally:
-            capture.end()
-        t1 = self.ctx.synchronize()
-        self._plans[phase] = capture.finalize()
-        self.plan_stats.captures += 1
-        return self._finish_epoch(t0, t1, loss, trace_start)
+
+        def body() -> Optional[float]:
+            capture = PlanCapture(self.ctx.engine)
+            capture.begin()
+            try:
+                loss = self._passes()
+            finally:
+                capture.end()
+            self._plans[phase] = capture.finalize()
+            self.plan_stats.captures += 1
+            return loss
+
+        return self._run_epoch(body)
 
     def _replay_epoch(self, plan: ExecutionPlan) -> EpochStats:
         """Re-execute a captured plan instead of eager scheduling."""
-        t0 = self.ctx.synchronize()
-        trace_start = len(self.ctx.engine.trace)
-        # _backward normally advances the Adam step; the captured closures
-        # read it through their callable ``t``.
-        self._adam_t += 1
-        result = plan.replay(self.ctx.engine, t0)
-        t1 = self.ctx.synchronize()
-        self.plan_stats.replays += 1
-        loss = (
-            None
-            if self.mode is Mode.SYMBOLIC
-            else result.loss_sum / self.graph.num_train
-        )
-        return self._finish_epoch(t0, t1, loss, trace_start)
 
-    def _finish_epoch(
-        self, t0: float, t1: float, loss: Optional[float], trace_start: int
-    ) -> EpochStats:
-        trace = self.ctx.engine.trace[trace_start:]
-        self.epochs_trained += 1
-        return EpochStats(
-            epoch_time=t1 - t0,
-            loss=loss,
-            breakdown=OpBreakdown.from_trace(trace),
-            peak_memory=self.ctx.peak_memory(),
-            trace=list(trace),
-        )
+        def body() -> Optional[float]:
+            # _backward normally advances the Adam step; the captured
+            # closures read it through their callable ``t``.
+            self.adam.t += 1
+            # run_epoch's barrier put every stream at the epoch start.
+            result = plan.replay(self.ctx.engine, self.ctx.elapsed())
+            self.plan_stats.replays += 1
+            if self.mode is Mode.SYMBOLIC:
+                return None
+            return result.loss_sum / self.graph.num_train
+
+        return self._run_epoch(body)
 
     def _flush_cache_telemetry(self) -> None:
         """Push the cache's per-epoch counters into the telemetry hub."""
@@ -704,12 +609,6 @@ class MGGCNTrainer:
         self._plans.clear()
         self._plan_sig = None
 
-    def fit(self, epochs: int) -> List[EpochStats]:
-        """Train ``epochs`` epochs; returns per-epoch stats."""
-        if epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
-        return [self.train_epoch() for _ in range(epochs)]
-
     # -- evaluation ---------------------------------------------------------------------------
 
     def predict(self) -> np.ndarray:
@@ -726,31 +625,9 @@ class MGGCNTrainer:
         # permuted_order[perm[v]] is vertex v's prediction
         return permuted_order[self.graph.perm]
 
-    def evaluate(self, split: str = "test") -> float:
-        """Accuracy over ``split`` ('train' | 'val' | 'test'), functional only.
-
-        Runs a fresh forward pass (clobbers the shared buffers, which is
-        safe between epochs) and scores each rank's local rows.
-        """
-        if self.mode is not Mode.FUNCTIONAL:
-            raise ConfigurationError("evaluate() requires functional mode")
-        masks = {
-            "train": self.graph.train_masks,
-            "val": self.graph.val_masks,
-            "test": self.graph.test_masks,
-        }
-        if split not in masks:
-            raise ConfigurationError(f"unknown split {split!r}")
+    def _scored_rows(self, split: str):
+        """Each rank's local logits, labels and ``split`` mask."""
+        masks = split_mask(self.graph, split, per_rank=True)
         logits = self._forward()[-1]
-        correct = 0
-        count = 0
-        for i in range(self.ctx.num_gpus):
-            mask = masks[split][i]
-            if mask is None or not mask.any():
-                continue
-            pred = np.argmax(logits[i].data[mask], axis=1)
-            correct += int((pred == self.graph.labels[i][mask]).sum())
-            count += int(mask.sum())
-        if count == 0:
-            raise ConfigurationError(f"empty {split!r} split")
-        return correct / count
+        return [(logits[i].data, self.graph.labels[i], masks[i])
+                for i in range(self.ctx.num_gpus)]

@@ -25,7 +25,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.config import FLOAT_DTYPE
 from repro.errors import ModeError, ShapeError
 from repro.device.memory import Allocation
 
@@ -210,8 +209,3 @@ def check_same_mode(*tensors: DeviceTensor) -> Mode:
             + ", ".join(f"{t.name}:{t.mode.value}" for t in tensors)
         )
     return modes.pop()
-
-
-def default_dtype() -> np.dtype:
-    """The library's default floating dtype."""
-    return np.dtype(FLOAT_DTYPE)

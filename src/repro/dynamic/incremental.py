@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import FLOAT_DTYPE
+from repro.core.base import split_mask
 from repro.core.trainer import MGGCNTrainer, TrainerConfig
 from repro.dynamic.graph import DynamicGraph
 from repro.errors import ConfigurationError
@@ -156,16 +157,11 @@ class IncrementalTrainer:
 
     def validation_loss(self, split: str = "val") -> float:
         """Full-batch masked loss of the live weights on the live graph."""
-        mask = {
-            "train": self.graph.train_mask,
-            "val": self.graph.val_mask,
-            "test": self.graph.test_mask,
-        }[split]
         return full_batch_loss(
             self.graph.a_hat_t,
             self.graph.features,
             self.graph.labels,
-            mask,
+            split_mask(self.graph, split),
             self.trainer.get_weights(),
         )
 
@@ -225,6 +221,7 @@ class IncrementalTrainer:
             num_gpus=self._num_gpus,
             config=scratch_cfg,
         )
+        mask = split_mask(self.graph, split)
         scratch_losses: List[float] = []
         for _ in range(scratch_epochs):
             scratch.train_epoch()
@@ -233,11 +230,7 @@ class IncrementalTrainer:
                     self.graph.a_hat_t,
                     self.graph.features,
                     self.graph.labels,
-                    {
-                        "train": self.graph.train_mask,
-                        "val": self.graph.val_mask,
-                        "test": self.graph.test_mask,
-                    }[split],
+                    mask,
                     scratch.get_weights(),
                 )
             )

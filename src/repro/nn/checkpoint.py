@@ -79,7 +79,8 @@ def _atomic_savez(payload: Dict[str, np.ndarray], path: PathLike) -> None:
 
 
 def save_checkpoint(trainer, path: PathLike) -> None:
-    """Persist an :class:`~repro.core.trainer.MGGCNTrainer`'s state.
+    """Persist an :class:`~repro.core.trainer.MGGCNTrainer`'s state
+    (its :class:`~repro.nn.adam.ReplicatedAdam` and epoch counter).
 
     The write is atomic: readers of ``path`` see either the previous
     complete checkpoint or the new complete checkpoint, never a
@@ -87,16 +88,17 @@ def save_checkpoint(trainer, path: PathLike) -> None:
     """
     if trainer.mode is not Mode.FUNCTIONAL:
         raise ConfigurationError("checkpointing requires functional mode")
+    adam = trainer.adam
     payload = {
         "format_version": np.asarray(_FORMAT_VERSION),
         "layer_dims": np.asarray(trainer.model.layer_dims, dtype=np.int64),
-        "adam_t": np.asarray(trainer._adam_t, dtype=np.int64),
+        "adam_t": np.asarray(adam.t, dtype=np.int64),
         "epochs_trained": np.asarray(trainer.epochs_trained, dtype=np.int64),
     }
     for layer in range(trainer.model.num_layers):
-        payload[f"w{layer}"] = trainer.weights[0][layer].data
-        payload[f"m{layer}"] = trainer.adam_m[0][layer].data
-        payload[f"v{layer}"] = trainer.adam_v[0][layer].data
+        payload[f"w{layer}"] = adam.weights[0][layer].data
+        payload[f"m{layer}"] = adam.m[0][layer].data
+        payload[f"v{layer}"] = adam.v[0][layer].data
     _atomic_savez(payload, path)
 
 
@@ -127,16 +129,17 @@ def load_checkpoint(trainer, path: PathLike) -> None:
                 f"{path}: checkpoint architecture {dims} != trainer "
                 f"{trainer.model.layer_dims}"
             )
-        trainer._adam_t = int(payload["adam_t"])
+        adam = trainer.adam
+        adam.t = int(payload["adam_t"])
         trainer.epochs_trained = int(payload["epochs_trained"])
         for layer in range(trainer.model.num_layers):
             w = payload[f"w{layer}"]
             m = payload[f"m{layer}"]
             v = payload[f"v{layer}"]
             for rank in range(trainer.ctx.num_gpus):
-                trainer.weights[rank][layer].load_(w)
-                trainer.adam_m[rank][layer].load_(m)
-                trainer.adam_v[rank][layer].load_(v)
+                adam.weights[rank][layer].load_(w)
+                adam.m[rank][layer].load_(m)
+                adam.v[rank][layer].load_(v)
 
 
 # -- inference-only restore (no trainer) -------------------------------------

@@ -9,7 +9,6 @@ from repro.profiling.timeline import (
 )
 from repro.profiling.memory import max_layers_that_fit, memory_for_layers
 from repro.profiling.trace_export import (
-    export_chrome_events,
     export_chrome_trace,
     merge_chrome_traces,
     trace_to_chrome_events,
@@ -30,7 +29,6 @@ __all__ = [
     "render_timeline",
     "spmm_span",
     "max_layers_that_fit",
-    "export_chrome_events",
     "export_chrome_trace",
     "merge_chrome_traces",
     "trace_to_chrome_events",

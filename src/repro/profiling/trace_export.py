@@ -122,10 +122,3 @@ def export_chrome_trace(
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
-
-
-def export_chrome_events(events: Sequence[dict], path: PathLike) -> None:
-    """Write pre-built trace-event dicts (e.g. a merged timeline)."""
-    payload = {"traceEvents": list(events), "displayTimeUnit": "ms"}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.config import FLOAT_SIZE, INDEX_SIZE
 from repro.core.trainer import MGGCNTrainer, TrainerConfig
@@ -336,7 +336,7 @@ class ElasticTrainer:
             engine.record_events(old_trace)
         for s in ctx.all_streams():
             s.ready_time = detect
-        state_bytes = 3 * sum(w.nbytes for w in new_trainer.weights[0])
+        state_bytes = 3 * sum(w.nbytes for w in new_trainer.adam.weights[0])
         graph_bytes = self.dataset.features.nbytes + self.dataset.m * (
             2 * INDEX_SIZE + FLOAT_SIZE
         )
@@ -359,12 +359,13 @@ class ElasticTrainer:
         load_checkpoint(new_trainer, self._ckpt_path)
         try:
             if len(survivors) > 1:
+                weights = new_trainer.adam.weights
                 for layer in range(self.model.num_layers):
                     new_trainer.comm.broadcast(
                         0,
-                        new_trainer.weights[0][layer],
+                        weights[0][layer],
                         {
-                            r: new_trainer.weights[r][layer]
+                            r: weights[r][layer]
                             for r in range(len(survivors))
                             if r != 0
                         },

@@ -19,7 +19,7 @@ Two caveats the paper raises appear naturally here:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -34,14 +34,14 @@ from repro.kernels.cost import CostModel, KernelCosts
 from repro.nn.adam import AdamOptimizer
 from repro.nn.init import init_weights
 from repro.nn.model import GCNModelSpec
-from repro.core.stats import EpochStats, OpBreakdown
-from repro.sampling.neighbor import NeighborSampler, SampledBlock
-from repro.sparse.csr import CSRMatrix
+from repro.core.base import TrainerBase, split_mask
+from repro.core.stats import EpochStats
+from repro.sampling.neighbor import NeighborSampler
 from repro.sparse.normalize import gcn_normalize
 from repro.utils.rng import as_generator
 
 
-class MiniBatchGCNTrainer:
+class MiniBatchGCNTrainer(TrainerBase):
     """Sampled GCN training on one simulated GPU."""
 
     def __init__(
@@ -57,10 +57,7 @@ class MiniBatchGCNTrainer:
     ):
         if dataset.is_symbolic:
             raise ConfigurationError("mini-batch training needs a functional dataset")
-        if model.layer_dims[0] != dataset.d0:
-            raise ConfigurationError(
-                f"model input width {model.layer_dims[0]} != dataset d0 {dataset.d0}"
-            )
+        super().__init__(dataset, model)
         if batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         if fanouts is None:
@@ -70,8 +67,6 @@ class MiniBatchGCNTrainer:
                 f"{len(fanouts)} fanouts for {model.num_layers} layers"
             )
         machine = machine or dgx1()
-        self.dataset = dataset
-        self.model = model
         self.batch_size = batch_size
         self.ctx = SimContext(single_gpu(machine.gpu, name="minibatch-gpu"),
                               num_gpus=1, mode=Mode.FUNCTIONAL)
@@ -82,17 +77,14 @@ class MiniBatchGCNTrainer:
         self.weights = init_weights(model.layer_dims, seed=seed)
         self.optimizer = AdamOptimizer(self.weights, lr=lr)
         self.rng = as_generator(seed)
-        self.epochs_trained = 0
         # memory accounting: features + graph staged on the device
         dev = self.ctx.device(0)
         dev.pool.allocate(dataset.features.nbytes, tag="features")
         dev.pool.allocate(self.full_adjacency.nbytes, tag="adjacency")
 
-    @property
-    def mode(self) -> Mode:
-        return Mode.FUNCTIONAL
-
     def get_weights(self) -> List[np.ndarray]:
+        """Host copies of the weights (host arrays stepped by the
+        reference optimizer, not device replicas)."""
         return [w.copy() for w in self.weights]
 
     # -- one batch ----------------------------------------------------------------
@@ -193,8 +185,9 @@ class MiniBatchGCNTrainer:
 
     def train_epoch(self) -> EpochStats:
         """One pass over the training vertices in shuffled mini-batches."""
-        t0 = self.ctx.synchronize()
-        trace_start = len(self.ctx.engine.trace)
+        return self._run_epoch(self._passes)
+
+    def _passes(self) -> float:
         train_ids = np.nonzero(self.dataset.train_mask)[0]
         order = self.rng.permutation(train_ids.size)
         shuffled = train_ids[order]
@@ -202,38 +195,16 @@ class MiniBatchGCNTrainer:
         for start in range(0, shuffled.size, self.batch_size):
             seeds = shuffled[start : start + self.batch_size]
             total_loss += self._run_batch(seeds)
-        t1 = self.ctx.synchronize()
-        trace = self.ctx.engine.trace[trace_start:]
-        self.epochs_trained += 1
-        return EpochStats(
-            epoch_time=t1 - t0,
-            loss=total_loss / max(train_ids.size, 1),
-            breakdown=OpBreakdown.from_trace(trace),
-            peak_memory=self.ctx.peak_memory(),
-            trace=list(trace),
-        )
-
-    def fit(self, epochs: int) -> List[EpochStats]:
-        if epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
-        return [self.train_epoch() for _ in range(epochs)]
+        return total_loss / max(train_ids.size, 1)
 
     # -- evaluation: full-graph inference (no sampling) -----------------------------------
 
-    def evaluate(self, split: str = "test") -> float:
-        masks = {
-            "train": self.dataset.train_mask,
-            "val": self.dataset.val_mask,
-            "test": self.dataset.test_mask,
-        }
-        if split not in masks:
-            raise ConfigurationError(f"unknown split {split!r}")
-        mask = masks[split]
+    def _scored_rows(self, split: str):
+        mask = split_mask(self.dataset, split)
         h = self.dataset.features
         for l, w in enumerate(self.weights):
             z = self.full_adjacency.spmm(h @ w)
             if l < len(self.weights) - 1:
                 np.maximum(z, 0.0, out=z)
             h = z.astype(FLOAT_DTYPE, copy=False)
-        pred = np.argmax(h, axis=1)
-        return float((pred[mask] == self.dataset.labels[mask]).mean())
+        return [(h, self.dataset.labels, mask)]

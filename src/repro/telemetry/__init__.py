@@ -40,7 +40,6 @@ from repro.telemetry.gate import (
     GateResult,
     diff_metrics,
     flatten_numeric,
-    gate_against_file,
     load_metrics,
     write_snapshot,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "default_serving_slos",
     "diff_metrics",
     "flatten_numeric",
-    "gate_against_file",
     "load_bundle",
     "load_metrics",
     "merged_chrome_trace",

@@ -20,7 +20,7 @@ import fnmatch
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
 
@@ -186,19 +186,3 @@ def diff_metrics(
         )
     result.passed = not result.failures
     return result
-
-
-def gate_against_file(
-    baseline_path: PathLike,
-    current: Mapping[str, float],
-    default_rtol: float = DEFAULT_RTOL,
-    tolerances: Optional[Mapping[str, float]] = None,
-    ignore: Sequence[str] = (),
-) -> GateResult:
-    return diff_metrics(
-        load_metrics(baseline_path),
-        current,
-        default_rtol=default_rtol,
-        tolerances=tolerances,
-        ignore=ignore,
-    )

@@ -147,7 +147,7 @@ class PerOpTrainer(MGGCNTrainer):
                 hw = [self.buffers[i].hw_view(d_out) for i in range(P)]
                 events = {
                     i: [gemm(engine, self.cost_models[i], stream[i],
-                             inputs[i], self.weights[i][l], hw[i],
+                             inputs[i], self.adam.weights[i][l], hw[i],
                              name=f"fwd{l}/gemm")]
                     for i in range(P)
                 }
@@ -159,7 +159,7 @@ class PerOpTrainer(MGGCNTrainer):
                                list(inputs), ah, label=f"fwd{l}/spmm")
                 for i in range(P):
                     gemm(engine, self.cost_models[i], stream[i], ah[i],
-                         self.weights[i][l], outs[i], name=f"fwd{l}/gemm")
+                         self.adam.weights[i][l], outs[i], name=f"fwd{l}/gemm")
             if l < self.model.num_layers - 1:
                 for i in range(P):
                     relu_forward(engine, self.cost_models[i], stream[i],
@@ -172,7 +172,7 @@ class PerOpTrainer(MGGCNTrainer):
         P = self.ctx.num_gpus
         engine = self.ctx.engine
         stream = [self.ctx.device(i).compute_stream for i in range(P)]
-        self._adam_t += 1
+        self.adam.t += 1
         for l in range(self.model.num_layers - 1, -1, -1):
             d_in, d_out = self.model.dims_of(l)
             grads = layer_outputs[l]
@@ -185,7 +185,7 @@ class PerOpTrainer(MGGCNTrainer):
             h_in = self.graph.features if l == 0 else layer_outputs[l - 1]
             wg_events = {
                 i: [gemm(engine, self.cost_models[i], stream[i], h_in[i],
-                         hwg[i], self.wgrads[i][l], transpose_a=True,
+                         hwg[i], self.adam.grads[i][l], transpose_a=True,
                          name=f"bwd{l}/wgrad")]
                 for i in range(P)
             }
@@ -193,15 +193,16 @@ class PerOpTrainer(MGGCNTrainer):
                 for i in range(P):
                     gemm_relu_backward(
                         engine, self.cost_models[i], stream[i], hwg[i],
-                        self.weights[i][l], layer_outputs[l - 1][i],
+                        self.adam.weights[i][l], layer_outputs[l - 1][i],
                         transpose_b=True, name=f"bwd{l}/hgrad",
                     )
             allreduce_events = self.comm.allreduce(
-                {i: self.wgrads[i][l] for i in range(P)}, op="sum",
+                {i: self.adam.grads[i][l] for i in range(P)}, op="sum",
                 deps_by_rank=wg_events, name=f"bwd{l}/allreduce_wg",
             )
             for i in range(P):
-                self._adam_step(i, l, deps=[allreduce_events[i]])
+                self.adam.step(i, l, self.cost_models[i],
+                               deps=[allreduce_events[i]])
 
 
 # -- helpers ---------------------------------------------------------------

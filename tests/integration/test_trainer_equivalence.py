@@ -137,6 +137,6 @@ def test_weight_replicas_stay_synchronized(small_dataset, small_model):
     )
     trainer.fit(3)
     for layer in range(small_model.num_layers):
-        base = trainer.weights[0][layer].data
+        base = trainer.adam.weights[0][layer].data
         for rank in range(1, 4):
-            assert np.array_equal(trainer.weights[rank][layer].data, base)
+            assert np.array_equal(trainer.adam.weights[rank][layer].data, base)

@@ -126,7 +126,7 @@ class TestCheckpoint:
         load_checkpoint(b, path)
         for layer in range(small_model.num_layers):
             assert np.array_equal(
-                b.weights[0][layer].data, b.weights[1][layer].data
+                b.adam.weights[0][layer].data, b.adam.weights[1][layer].data
             )
 
     def test_architecture_mismatch_rejected(self, tmp_path, small_dataset,
