@@ -171,6 +171,7 @@ class CAGNETTrainer(TrainerBase):
                 self.comm,
                 self.cost_models,
                 self.graph.forward_tiles,
+                self.graph.forward_rows,
                 list(inputs),
                 ah,
                 self._bc_adapters,
@@ -193,6 +194,7 @@ class CAGNETTrainer(TrainerBase):
                         self.ctx.device(i).compute_stream,
                         f"fwd{l}/relu", "activation",
                         self.cost_models[i].elementwise_time(z.size, reads=1, writes=1),
+                        flops=float(z.size),
                     )
                     outs.append(act)
                 else:
@@ -245,6 +247,7 @@ class CAGNETTrainer(TrainerBase):
                 self.comm,
                 self.cost_models,
                 self.graph.backward_tiles,
+                self.graph.backward_rows,
                 list(grads),
                 hwg,
                 self._bc_adapters,

@@ -316,6 +316,7 @@ class CAGNET15DTrainer(TrainerBase):
                         self.ctx.device(g).compute_stream, f"fwd{l}/relu",
                         "activation",
                         self.cost_models[g].elementwise_time(z.size, 1, 1),
+                        flops=float(z.size),
                     )
                     outs[g] = act
                 else:

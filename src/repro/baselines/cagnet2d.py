@@ -363,6 +363,7 @@ class CAGNET2DTrainer(TrainerBase):
                 engine.submit(
                     self.ctx.device(g).compute_stream, f"fwd{l}/gemm", "gemm",
                     self.cost_models[g].gemm_time(rows, d_out, c1 - c0),
+                    flops=2.0 * rows * d_out * (c1 - c0),
                 )
                 z_full[g] = target
             self._row_allreduce_full(z_full, f"fwd{l}/allreduce_z")
@@ -379,6 +380,7 @@ class CAGNET2DTrainer(TrainerBase):
                         self.ctx.device(g).compute_stream, f"fwd{l}/relu",
                         "activation",
                         self.cost_models[g].elementwise_time(z.size, 1, 1),
+                        flops=float(z.size),
                     )
                 c0, c1 = out_part.part(j)
                 dst = self.act_slices[g][l]
@@ -454,6 +456,7 @@ class CAGNET2DTrainer(TrainerBase):
                         self.ctx.device(g).compute_stream, f"bwd{l}/relu",
                         "activation",
                         self.cost_models[g].elementwise_time(grad.size, 2, 1),
+                        flops=float(grad.size),
                     )
             # slice G to 2D tiles for the backward SUMMA (dedicated
             # buffers: the bc_h receive buffer is clobbered per stage)
@@ -510,6 +513,7 @@ class CAGNET2DTrainer(TrainerBase):
                     self.cost_models[g].gemm_time(
                         c1 - c0, d_out, h_in.rows
                     ),
+                    flops=2.0 * (c1 - c0) * d_out * h_in.rows,
                 )
             self.world_comm.allreduce(
                 {g: self.adam.grads[g][l] for g in range(self.ctx.num_gpus)},
@@ -535,6 +539,7 @@ class CAGNET2DTrainer(TrainerBase):
                         self.ctx.device(g).compute_stream, f"bwd{l}/hgrad",
                         "gemm",
                         self.cost_models[g].gemm_time(rows, d_in, d_out),
+                        flops=2.0 * rows * d_in * d_out,
                     )
                     grads_full[g] = target
             for g in range(self.ctx.num_gpus):

@@ -154,6 +154,7 @@ class DGLLikeTrainer(TrainerBase):
                 engine.submit(
                     stream, f"fwd{l}/relu", "activation",
                     self.cost.elementwise_time(buf_b.size, reads=1, writes=1),
+                    flops=float(buf_b.size),
                 )
                 h = buf_act
             else:

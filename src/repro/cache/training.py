@@ -27,6 +27,12 @@ its payloads or copy closures stop describing the epoch. The phase
 (refresh ↔ serve) selects which of the trainer's per-phase plans an
 epoch replays. The eager stage-plan fast path keys on
 :meth:`plan_token`, which carries both.
+
+A cached SpMM keeps one numerics closure per stage: on serve epochs the
+broadcast buffers hold stale replica rows that differ from the root's
+tile, so each rank reads its own buffer. Without a cache the SpMM
+computes each rank's product in one row-block kernel call against the
+stacked sources instead, and the buffers' copies feed no kernel.
 """
 
 from __future__ import annotations

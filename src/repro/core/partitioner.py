@@ -5,8 +5,12 @@ normalised, and tiled with a uniform symmetric partition vector. GPU
 ``i`` receives:
 
 * the ``i``-th tile *row* of the forward operand :math:`\\hat A^T`
-  (tiles :math:`\\hat A^{T,ij}` for all ``j``),
-* the ``i``-th tile row of the backward operand :math:`\\hat A`,
+  (tiles :math:`\\hat A^{T,ij}` for all ``j``), plus the same rows as
+  one matrix :math:`\\hat A^{T,i:}` — a view of the operand's row block,
+  whose columns are the tiles side by side — that the SpMM numerics
+  multiply in one kernel call,
+* the ``i``-th tile row and row block of the backward operand
+  :math:`\\hat A`,
 * its row block of the features ``H^i``, labels and masks.
 
 Model weights are replicated by the trainer; everything here is fully
@@ -74,6 +78,11 @@ class DistributedGraph:
     forward_tiles: List[List[AnyTile]]
     #: backward_tiles[i][j]: tile row i of A_hat.
     backward_tiles: List[List[AnyTile]]
+    #: forward_rows[i]: rank i's row block of A_hat^T, i.e. its tiles
+    #: side by side (A_hat^{T,i:}); functional blocks are views.
+    forward_rows: List[AnyTile]
+    #: backward_rows[i]: rank i's row block of A_hat.
+    backward_rows: List[AnyTile]
     #: per-rank feature tensors H^i (device-resident).
     features: List[DeviceTensor]
     #: per-rank labels/train masks (None in symbolic mode).
@@ -100,6 +109,10 @@ class DistributedGraph:
 
     def local_rows(self, rank: int) -> int:
         return self.part.size(rank)
+
+    def row_blocks(self, direction: str) -> List[AnyTile]:
+        """Every rank's row block for a ``"fwd"`` or ``"bwd"`` SpMM."""
+        return self.forward_rows if direction == "fwd" else self.backward_rows
 
     def stage_nnz(self, rank: int, direction: str = "forward") -> List[int]:
         """nnz of each stage's tile on ``rank`` (load-balance diagnostic)."""
@@ -312,6 +325,8 @@ def _partition_functional(
         part = uniform_partition(n, P)
     fwd = tile_grid(a_hat_t, part, part)
     bwd = tile_grid(a_hat, part, part)
+    fwd_rows = [a_hat_t.row_block(*part.part(i)) for i in range(P)]
+    bwd_rows = [a_hat.row_block(*part.part(i)) for i in range(P)]
 
     feat_tensors: List[DeviceTensor] = []
     labels_by_rank: List[Optional[np.ndarray]] = []
@@ -340,6 +355,8 @@ def _partition_functional(
         part=part,
         forward_tiles=fwd,
         backward_tiles=bwd,
+        forward_rows=fwd_rows,
+        backward_rows=bwd_rows,
         features=feat_tensors,
         labels=labels_by_rank,
         train_masks=train_by_rank,
@@ -374,6 +391,11 @@ def _partition_symbolic(
 
     fwd = [[tile_rows(i, j) for j in range(P)] for i in range(P)]
     bwd = [[tile_rows(i, j) for j in range(P)] for i in range(P)]
+    # both directions share the expectation tiling, hence one row list.
+    rows = [
+        SymbolicCSR((part.size(i), n), sum(t.nnz for t in fwd[i]))
+        for i in range(P)
+    ]
 
     feat_tensors: List[DeviceTensor] = []
     allocs: List[Allocation] = []
@@ -390,6 +412,8 @@ def _partition_symbolic(
         part=part,
         forward_tiles=fwd,
         backward_tiles=bwd,
+        forward_rows=rows,
+        backward_rows=list(rows),
         features=feat_tensors,
         labels=list(none_list),
         train_masks=list(none_list),

@@ -19,18 +19,29 @@ Two schedules:
 Each rank reads its *own* tile directly from its source tensor (no
 self-copy), as the root of a broadcast keeps its data in place.
 
-Every stage submits its per-rank SpMMs as one group
-(:func:`~repro.kernels.ops.spmm_many`). The stage schedule is
-epoch-invariant, so fault-free, capture-free calls over a flat
-communicator replay a cached :class:`_StagePlan` with dependency times
-folded into per-stage floors; the other calls (an active capture, a
-non-trivial fault plan, a node-hierarchical broadcast) take the fully
-validated per-stage ``comm.broadcast`` loop. Both emit the same trace.
+The simulated schedule is per stage: every stage submits its per-rank
+SpMMs as one group, timed and traced per tile. The host numerics are
+per rank: without a training cache every rank's stage-``j`` operand is
+a copy of ``S^j``, so one closure on the last stage computes
+``C^i = A^{i,:} [S^0; ...; S^{P-1}]`` — one kernel call per rank on
+its row block (:attr:`DistributedGraph.forward_rows`) against the
+stacked sources. The broadcasts still copy their payloads into the
+broadcast buffers. With a cache the buffers may hold stale replica
+rows, so each stage keeps its own closure reading them.
+
+The stage schedule is epoch-invariant, so fault-free, capture-free
+calls over a flat communicator replay a cached :class:`_StagePlan` with
+dependency times folded into per-stage floors; the other calls (an
+active capture, a non-trivial fault plan, a node-hierarchical
+broadcast) take the fully validated per-stage ``comm.broadcast`` loop.
+Both emit the same trace and run the same closures.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.comm.collectives import Communicator
 from repro.device.engine import SimContext
@@ -38,12 +49,9 @@ from repro.device.stream import Event
 from repro.device.tensor import DeviceTensor
 from repro.errors import ConfigurationError
 from repro.kernels.cost import CostModel
-from repro.kernels.ops import (
-    build_spmm_group,
-    specialize_spmm_group,
-    spmm_many,
-)
+from repro.kernels.ops import build_spmm_group, spmm_many, submit_group
 from repro.nn.buffers import SharedBufferManager
+from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:
     from repro.cache.training import TrainingTileCache
@@ -54,6 +62,7 @@ def distributed_spmm(
     comm: Communicator,
     cost_models: Sequence[CostModel],
     tiles: Sequence[Sequence[object]],
+    row_blocks: Sequence[object],
     sources: Sequence[DeviceTensor],
     outputs: Sequence[DeviceTensor],
     buffer_managers: Sequence[SharedBufferManager],
@@ -65,12 +74,12 @@ def distributed_spmm(
 ) -> Dict[int, List[Event]]:
     """Run one distributed SpMM; returns per-rank per-stage SpMM events.
 
-    ``tiles[i][j]`` is rank ``i``'s stage-``j`` tile; ``sources[j]`` is
-    the tile rank ``j`` broadcasts; ``outputs[i]`` accumulates rank
-    ``i``'s result rows (zero-initialised here via the first stage's
-    ``accumulate=False``). Each stage's per-rank SpMMs go through
-    :func:`~repro.kernels.ops.spmm_many` — one engine call and one
-    group closure per stage.
+    ``tiles[i][j]`` is rank ``i``'s stage-``j`` tile and
+    ``row_blocks[i]`` the same tile row as one matrix (the tiles side by
+    side, columns in stage order); ``sources[j]`` is the tile rank ``j``
+    broadcasts; ``outputs[i]`` receives rank ``i``'s result rows
+    (overwritten, not accumulated). Each stage's per-rank SpMMs are one
+    engine call (:func:`~repro.kernels.ops.build_spmm_group`).
 
     ``cache`` intercepts each stage's broadcast with the training-time
     remote-tile cache: on serve epochs only the uncached rows travel
@@ -125,22 +134,24 @@ def distributed_spmm(
         if (
             plan is None
             or not plan.matches(
-                comm, tiles, sources, outputs, buffer_managers, overlap,
-                compute_bw,
+                comm, tiles, row_blocks, sources, outputs, buffer_managers,
+                overlap, compute_bw,
             )
             or plan.cache_token != (
                 None if cache is None else cache.plan_token()
             )
         ):
             plan = _build_stage_plan(
-                ctx, comm, cost_models, tiles, sources, outputs,
-                buffer_managers, overlap, compute_bw, label, cache,
+                ctx, comm, cost_models, tiles, row_blocks, sources,
+                outputs, buffer_managers, overlap, compute_bw, label, cache,
             )
             plan_cache[key] = plan
         return _replay_stage_plan(engine, comm, plan, extra_deps)
 
+    numerics = _row_block_numerics(
+        engine, tiles, row_blocks, sources, outputs, cache
+    )
     spmm_events: Dict[int, List[Event]] = {r: [] for r in range(P)}
-    bcast_events: List[Dict[int, Event]] = []
 
     for j in range(P):
         src = sources[j]
@@ -178,7 +189,6 @@ def distributed_spmm(
             payload_nbytes=payload,
             copy_fn=copy_fn,
         )
-        bcast_events.append(events)
 
         # §6.3 bandwidth sharing: the SpMM of stage j overlaps the
         # broadcast of stage j+1. It loses link-share bandwidth only for
@@ -202,7 +212,7 @@ def distributed_spmm(
                 (ctx.device(r).compute_stream, cost_models[r],
                  tiles[r][j], operand, outputs[r], deps)
             )
-        stage_events = spmm_many(
+        specs, compute = build_spmm_group(
             engine,
             items,
             accumulate=(j > 0),
@@ -211,10 +221,60 @@ def distributed_spmm(
             bw_fraction=stage_bw,
             overlap_comm_time=next_bcast_time,
         )
+        if numerics is not None:
+            compute = numerics if j == P - 1 else None
+        stage_events = submit_group(engine, specs, compute)
         for r, ev in enumerate(stage_events):
             spmm_events[r].append(ev)
 
     return spmm_events
+
+
+def _row_block_numerics(
+    engine,
+    tiles: Sequence[Sequence[object]],
+    row_blocks: Sequence[object],
+    sources: Sequence[DeviceTensor],
+    outputs: Sequence[DeviceTensor],
+    cache: Optional["TrainingTileCache"],
+) -> Optional[Callable[[], None]]:
+    """The whole call's numerics as one closure, or None.
+
+    None with a cache (the broadcast buffers may hold stale replica
+    rows, so each stage reads its own) and in symbolic mode. Otherwise
+    rank ``i`` computes ``A^{i,:} [S^0; ...; S^{P-1}]``: one kernel call
+    on its row block against the stacked sources. The compiled kernel
+    adds each row's nonzeros in column order, which is stage order, so
+    this is bitwise the per-stage sequence. A strided output goes
+    through the kernel's zeroed-scratch-and-add, whose per-stage partial
+    sums only stay bitwise when added stage by stage, so it keeps the
+    per-stage calls (still on the stacked sources).
+    """
+    if cache is not None or not all(
+        isinstance(b, CSRMatrix) for b in row_blocks
+    ):
+        return None
+    if any(t.data is None for t in (*sources, *outputs)):
+        return None
+    backend = engine.backend
+    bounds = [0]
+    for src in sources:
+        bounds.append(bounds[-1] + src.rows)
+    stage_slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    ranks = list(zip(row_blocks, tiles, outputs))
+
+    def compute() -> None:
+        # deref .data at call time: replay must see rebound buffers.
+        stacked = np.concatenate([src.data for src in sources])
+        for block, row_tiles, out in ranks:
+            out_arr = out.data
+            if out_arr.flags.c_contiguous:
+                backend.spmm(block, stacked, out_arr, accumulate=False)
+                continue
+            for j, (tile, rows) in enumerate(zip(row_tiles, stage_slices)):
+                backend.spmm(tile, stacked[rows], out_arr, accumulate=j > 0)
+
+    return compute
 
 
 class _StagePlan:
@@ -225,8 +285,8 @@ class _StagePlan:
     cache them), each broadcast's duration and event names (the
     communicator's bandwidth and ranks are frozen for its lifetime, and
     the plan is pinned to that communicator), each rank's SpMM
-    duration and flops (frozen cost models and shapes), and the group
-    compute closure (it derefs ``.data`` at call time). Build once per
+    duration and flops (frozen cost models and shapes), and the compute
+    closures (they deref ``.data`` at call time). Build once per
     call site, then replay each epoch with only the per-stage start
     floors recomputed. Cached per label on the :class:`SimContext` and
     revalidated by operand identity on every call — a changed operand
@@ -234,14 +294,15 @@ class _StagePlan:
     """
 
     __slots__ = (
-        "comm", "tiles", "sources", "outputs", "managers", "overlap",
-        "compute_bw", "stages", "cache_token",
+        "comm", "tiles", "row_blocks", "sources", "outputs", "managers",
+        "overlap", "compute_bw", "stages", "cache_token",
     )
 
-    def __init__(self, comm, tiles, sources, outputs, managers, overlap,
-                 compute_bw, stages, cache_token=None):
+    def __init__(self, comm, tiles, row_blocks, sources, outputs, managers,
+                 overlap, compute_bw, stages, cache_token=None):
         self.comm = comm
         self.tiles = tuple(tiles)
+        self.row_blocks = tuple(row_blocks)
         self.sources = tuple(sources)
         self.outputs = tuple(outputs)
         self.managers = tuple(managers)
@@ -254,11 +315,12 @@ class _StagePlan:
         #: per stage: (broadcast plan, guard stage index, per-rank spec
         #: prefixes ``(stream, name, category, duration)``, per-rank spec
         #: suffixes ``(stage, nbytes, compute, correlation, flops)``, and
-        #: the group compute closure (None in symbolic mode).
+        #: the stage's compute closure (None in symbolic mode, and on all
+        #: but the last stage when one row-block closure does the call).
         self.stages = stages
 
-    def matches(self, comm, tiles, sources, outputs, managers, overlap,
-                compute_bw) -> bool:
+    def matches(self, comm, tiles, row_blocks, sources, outputs, managers,
+                overlap, compute_bw) -> bool:
         """Is this plan still valid for the operands of this call?"""
         if self.comm is not comm:
             return False
@@ -267,7 +329,8 @@ class _StagePlan:
         if len(tiles) != len(self.tiles):
             return False
         for mine, theirs in (
-            (self.tiles, tiles), (self.sources, sources),
+            (self.tiles, tiles), (self.row_blocks, row_blocks),
+            (self.sources, sources),
             (self.outputs, outputs), (self.managers, managers),
         ):
             for a, b in zip(mine, theirs):
@@ -281,6 +344,7 @@ def _build_stage_plan(
     comm: Communicator,
     cost_models: Sequence[CostModel],
     tiles: Sequence[Sequence[object]],
+    row_blocks: Sequence[object],
     sources: Sequence[DeviceTensor],
     outputs: Sequence[DeviceTensor],
     buffer_managers: Sequence[SharedBufferManager],
@@ -293,6 +357,9 @@ def _build_stage_plan(
     P = ctx.num_gpus
     engine = ctx.engine
     compute_streams = [ctx.device(r).compute_stream for r in range(P)]
+    numerics = _row_block_numerics(
+        engine, tiles, row_blocks, sources, outputs, cache
+    )
     stages = []
     for j in range(P):
         src = sources[j]
@@ -335,18 +402,8 @@ def _build_stage_plan(
             bw_fraction=stage_bw,
             overlap_comm_time=next_bcast_time,
         )
-        if compute is not None:
-            # without a cache copy closure every rank's dense operand
-            # holds the stage root's tile (rank j reads src itself, the
-            # others their broadcast copy). A cache copy closure fills
-            # the broadcast buffers with the replica's possibly stale
-            # rows instead, so each rank must read its own buffer.
-            fast_compute = specialize_spmm_group(
-                items, ctx.host_buffer, accumulate=(j > 0),
-                shared_dense=src if copy_fn is None else None,
-            )
-            if fast_compute is not None:
-                compute = fast_compute
+        if numerics is not None:
+            compute = numerics if j == P - 1 else None
         guard_stage = j - 2 if overlap else j - 1
         pre = [s[:4] for s in specs]
         post = [s[5:] for s in specs]
@@ -354,8 +411,8 @@ def _build_stage_plan(
     # token taken *after* the stage walk: stage_entry may admit entries
     # (or mark them filled), and the plan must pin the resulting state.
     token = None if cache is None else cache.plan_token()
-    return _StagePlan(comm, tiles, sources, outputs, buffer_managers,
-                      overlap, compute_bw, stages, token)
+    return _StagePlan(comm, tiles, row_blocks, sources, outputs,
+                      buffer_managers, overlap, compute_bw, stages, token)
 
 
 def _replay_stage_plan(

@@ -276,6 +276,7 @@ class MGGCNTrainer(TrainerBase):
             self.comm,
             self.cost_models,
             tiles,
+            self.graph.row_blocks(direction),
             sources,
             outputs,
             self.buffers,

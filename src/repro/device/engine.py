@@ -18,9 +18,7 @@ one machine and is the object trainers are built around.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.backends import KernelBackend
 from repro.device.device import VirtualGPU
@@ -399,9 +397,6 @@ class SimContext:
         #: epoch-invariant SpMM stage plans, one per call site
         #: (:func:`repro.core.spmm_mg.distributed_spmm`).
         self.spmm_plan_cache: Dict[tuple, object] = {}
-        #: host scratch arrays shared by every stage plan, one per
-        #: ``(role, shape, dtype)``; see :meth:`host_buffer`.
-        self._host_buffers: Dict[tuple, np.ndarray] = {}
 
     @property
     def ranks(self) -> List[int]:
@@ -424,22 +419,6 @@ class SimContext:
     def elapsed(self) -> float:
         """Latest completion time across all devices (no sync)."""
         return self.engine.now(self.all_streams())
-
-    def host_buffer(self, role: str, shape: Tuple[int, ...],
-                    dtype) -> np.ndarray:
-        """A reusable host array for ``role`` of this shape and dtype.
-
-        Functional compute runs sequentially on the host, so closures
-        that only use an array *within* one call can all share it: a
-        context keeps one per ``(role, shape, dtype)`` instead of one per
-        closure. Contents are undefined on entry; distinct roles never
-        alias, so a closure may hold one buffer of each role at once.
-        """
-        key = (role, tuple(shape), np.dtype(dtype))
-        buf = self._host_buffers.get(key)
-        if buf is None:
-            buf = self._host_buffers[key] = np.empty(key[1], dtype=key[2])
-        return buf
 
     def peak_memory(self) -> int:
         """Max peak memory over participating devices, bytes."""

@@ -271,6 +271,7 @@ def gemm_relu_backward_many(
         duration = cost.gemm_time(m, n, k, itemsize=out.dtype.itemsize)
         specs.append((stream, name, "gemm", duration, tuple(deps), None, 0,
                       None, None, 2.0 * m * n * k + m * n))
+    compute: Optional[Callable[[], None]] = None
     if group:
 
         def compute() -> None:
@@ -278,9 +279,7 @@ def gemm_relu_backward_many(
                 backend.gemm_relu_grad(a.data, b.data, out.data,
                                        transpose_b=transpose_b)
 
-        compute()
-        specs[0] = specs[0][:7] + (compute, None, specs[0][9])
-    return engine.submit_many(specs)
+    return submit_group(engine, specs, compute)
 
 
 def relu_forward(
@@ -529,6 +528,23 @@ def add_(
 # -- batched submission --------------------------------------------------------
 
 
+def submit_group(
+    engine: Engine,
+    specs: List[tuple],
+    compute: Optional[Callable[[], None]],
+) -> List[Event]:
+    """Run a group's closure, then submit its specs as one engine call.
+
+    The closure rides on the first op, so replay runs it once at that
+    op's slot (program order of the batch is preserved). ``compute`` is
+    None when no item is functional.
+    """
+    if compute is not None:
+        compute()
+        specs[0] = specs[0][:7] + (compute, None, specs[0][9])
+    return engine.submit_many(specs)
+
+
 def gemm_many(
     engine: Engine,
     items: Sequence[tuple],
@@ -570,6 +586,7 @@ def gemm_many(
                                   bw_fraction=1.0)
         specs.append((stream, name, "gemm", duration, tuple(deps), None, 0,
                       None, None, 2.0 * m * n * k))
+    compute: Optional[Callable[[], None]] = None
     if functional:
         triples = [(a, b, out) for _, _, a, b, out, _ in items]
 
@@ -580,11 +597,7 @@ def gemm_many(
                              transpose_b=transpose_b,
                              accumulate=accumulate)
 
-        compute()
-        # the group closure rides on the first op; replay runs it once at
-        # that op's slot (program order of the batch is preserved).
-        specs[0] = specs[0][:7] + (compute, None, specs[0][9])
-    return engine.submit_many(specs)
+    return submit_group(engine, specs, compute)
 
 
 def build_spmm_group(
@@ -600,10 +613,11 @@ def build_spmm_group(
 
     ``items`` is ``[(stream, cost, tile, dense, out, deps), ...]``.
     Shared by :func:`spmm_many` (which executes and submits immediately)
-    and the stage-plan cache in :mod:`repro.core.spmm_mg` (which
-    snapshots the specs once and replays them every epoch). The returned
-    group closure is NOT yet executed and not attached to any spec;
-    ``None`` when no item is functional.
+    and :mod:`repro.core.spmm_mg`, whose stages keep these per-tile specs
+    but, without a training cache, drop the group closure for one
+    row-block closure per call. The returned group closure runs one
+    backend SpMM per item; it is NOT yet executed and not attached to
+    any spec, and is ``None`` when no item is functional.
     """
     backend = engine.backend
     # inline spec construction: no per-item closure allocation.
@@ -641,100 +655,6 @@ def build_spmm_group(
     return specs, compute
 
 
-def specialize_spmm_group(
-    items: Sequence[tuple],
-    host_buffer: Callable[[str, Tuple[int, ...], object], np.ndarray],
-    accumulate: bool = True,
-    shared_dense: Optional[DeviceTensor] = None,
-) -> Optional[Callable[[], None]]:
-    """Prebind a stage's SpMM group straight to the compiled kernel.
-
-    Returns a closure equivalent to the generic group closure of
-    :func:`build_spmm_group` — same kernels, same float sequences — with
-    every per-call lookup (backend dispatch, fast-arg fetch, dtype and
-    contiguity checks, flat views) resolved once. Meant for the
-    epoch-invariant stage plans of :mod:`repro.core.spmm_mg`, whose
-    operand buffers are allocation-stable across epochs. Returns ``None``
-    when any item cannot be prebound (symbolic operands, no compiled
-    kernel, dtype mismatch) — callers keep the generic closure.
-
-    ``shared_dense`` marks every item's dense operand as holding the same
-    values as that tensor (the broadcast-stage invariant: each rank reads
-    its copy of the root's tile). Strided operands then read from one
-    refreshed contiguous staging buffer instead of each paying a flatten
-    copy per call — copies are bit-exact, so the kernel sees the same
-    floats either way.
-
-    Staging and strided-output scratch arrays come from ``host_buffer``
-    (:meth:`repro.device.engine.SimContext.host_buffer`): each is only
-    live within one call of the returned closure, so every plan of a
-    context shares one array per shape instead of pinning its own.
-    """
-    recs = []
-    staging = None
-    for _stream, _cost, tile, dense, out, _deps in items:
-        if not isinstance(tile, CSRMatrix):
-            return None
-        dense_arr = dense.data
-        out_arr = out.data
-        if dense_arr is None or out_arr is None:
-            return None
-        fast = tile._fast_spmm
-        if fast is None:
-            fast = tile._spmm_fast_args()
-        m, k, indptr, indices, data, dtype, matvecs = fast
-        if dtype is None or dense_arr.dtype != dtype or out_arr.dtype != dtype:
-            return None
-        n_vecs = dense_arr.shape[1]
-        # a C-contiguous operand's flat view is stable; a strided one
-        # must be re-flattened (copied) per call, as spmm_into does —
-        # unless it mirrors the shared broadcast tile, in which case all
-        # such items read the one staging copy.
-        if dense_arr.flags.c_contiguous:
-            dense_flat = dense_arr.ravel()
-            dense_dyn = None
-        elif (shared_dense is not None
-              and dense.shape == shared_dense.shape
-              and shared_dense.data is not None):
-            if staging is None:
-                staging = host_buffer("spmm_staging", shared_dense.shape,
-                                      dtype)
-            dense_flat = staging.ravel()
-            dense_dyn = None
-        else:
-            dense_flat = None
-            dense_dyn = dense_arr
-        if out_arr.flags.c_contiguous:
-            scratch = None
-            target = out_arr.ravel()
-        else:
-            # strided out: accumulate into a reused zeroed scratch and
-            # add — the same float sequence as spmm_into's fallback.
-            scratch = host_buffer("spmm_scratch", (m, n_vecs), dtype)
-            target = scratch.ravel()
-        recs.append((tile.nnz, matvecs, m, k, n_vecs, indptr, indices, data,
-                     dense_dyn, dense_flat, out_arr, scratch, target))
-    shared_src = shared_dense.data if staging is not None else None
-
-    def compute() -> None:
-        if staging is not None:
-            np.copyto(staging, shared_src)
-        for (nnz, matvecs, m, k, n_vecs, indptr, indices, data,
-             dense_dyn, dense_flat, out_arr, scratch, target) in recs:
-            if not accumulate:
-                out_arr.fill(0.0)
-            if nnz == 0:
-                continue
-            if scratch is not None:
-                scratch.fill(0.0)
-            flat = dense_flat if dense_flat is not None else dense_dyn.ravel()
-            matvecs(m, k, n_vecs, indptr, indices, data, flat, target)
-            if scratch is not None:
-                out_arr += scratch
-
-    return compute
-
-
 def spmm_many(
     engine: Engine,
     items: Sequence[tuple],
@@ -758,12 +678,7 @@ def spmm_many(
         engine, items, accumulate=accumulate, stage=stage, name=name,
         bw_fraction=bw_fraction, overlap_comm_time=overlap_comm_time,
     )
-    if compute is not None:
-        compute()
-        # the group closure rides on the first op; replay runs it once at
-        # that op's slot (program order of the batch is preserved).
-        specs[0] = specs[0][:7] + (compute, None, specs[0][9])
-    return engine.submit_many(specs)
+    return submit_group(engine, specs, compute)
 
 
 def relu_many(
@@ -789,12 +704,11 @@ def relu_many(
                                          itemsize=tensor.dtype.itemsize)
         specs.append((stream, name, "activation", duration, tuple(deps),
                       None, 0, None, None, float(tensor.size)))
+    compute: Optional[Callable[[], None]] = None
     if group:
 
         def compute() -> None:
             for tensor in group:
                 backend.relu(tensor.data)
 
-        compute()
-        specs[0] = specs[0][:7] + (compute, None, specs[0][9])
-    return engine.submit_many(specs)
+    return submit_group(engine, specs, compute)

@@ -34,7 +34,6 @@ from repro.parallel.strategies import (
     FIXED_SCHEMES,
     LAYER_SCHEMES,
     allgather_spmm,
-    concat_tile_row,
 )
 from repro.parallel.trainer15d import Parallel15DTrainer
 from repro.parallel.trainer2d import Parallel2DTrainer
@@ -51,7 +50,6 @@ __all__ = [
     "ParallelismPlanner",
     "SchemeCost",
     "allgather_spmm",
-    "concat_tile_row",
     "group_leaders",
     "link_class",
     "node_groups",

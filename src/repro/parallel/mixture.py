@@ -38,7 +38,7 @@ from repro.hardware.spec import MachineSpec
 from repro.nn.model import GCNModelSpec
 from repro.parallel.hierarchy import HierarchicalCommunicator
 from repro.parallel.planner import ParallelismPlan, ParallelismPlanner
-from repro.parallel.strategies import allgather_spmm, concat_tile_row
+from repro.parallel.strategies import allgather_spmm
 
 
 class MixtureTrainer(MGGCNTrainer):
@@ -102,8 +102,6 @@ class MixtureTrainer(MGGCNTrainer):
                 bw_derate=self.comm.bw_derate,
                 timeout=self.comm.timeout,
             )
-        self._wide_fwd: Optional[List[object]] = None
-        self._wide_bwd: Optional[List[object]] = None
         self._gather_buffers: Optional[List[DeviceTensor]] = None
         self._wide_allocs: List[object] = []
         if self.num_gpus > 1 and any(
@@ -138,17 +136,13 @@ class MixtureTrainer(MGGCNTrainer):
             self.ctx.device(i).empty((n, width), name=f"AG{i}", tag="allgather")
             for i in range(P)
         ]
-        self._wide_fwd = [
-            concat_tile_row(self.graph.forward_tiles[i]) for i in range(P)
-        ]
-        self._wide_bwd = [
-            concat_tile_row(self.graph.backward_tiles[i]) for i in range(P)
-        ]
-        # the hstacked tile rows live on-device next to the per-stage
-        # tiles; account their bytes like the partitioner does.
+        # the scheme multiplies each rank's row block, which a real
+        # device would store next to the per-stage tiles; account its
+        # bytes like the partitioner does.
         for i in range(P):
             pool = self.ctx.device(i).pool
-            for wide in (self._wide_fwd[i], self._wide_bwd[i]):
+            for wide in (self.graph.forward_rows[i],
+                         self.graph.backward_rows[i]):
                 self._wide_allocs.append(
                     pool.allocate(int(wide.nbytes), tag="adjacency-wide")
                 )
@@ -167,12 +161,11 @@ class MixtureTrainer(MGGCNTrainer):
     ) -> Dict[int, List[Event]]:
         scheme = self.plan.scheme(layer) if self.num_gpus > 1 else "1d"
         if scheme == "1d_allgather":
-            wide = self._wide_fwd if direction == "fwd" else self._wide_bwd
             return allgather_spmm(
                 self.ctx,
                 self.hier_comm,
                 self.cost_models,
-                wide,
+                self.graph.row_blocks(direction),
                 sources,
                 outputs,
                 self._gather_buffers,
@@ -185,6 +178,7 @@ class MixtureTrainer(MGGCNTrainer):
             comm,
             self.cost_models,
             tiles,
+            self.graph.row_blocks(direction),
             sources,
             outputs,
             self.buffers,

@@ -279,7 +279,7 @@ class ParallelismPlanner:
         return comm_total, compute_total
 
     def _allgather_extra_memory(self, max_width: int) -> int:
-        """Gather buffer + hstacked tile rows, per GPU."""
+        """Gather buffer + the row blocks it multiplies, per GPU."""
         gather = self.n * max_width * FLOAT_SIZE
         wide_tiles = 2 * _csr_bytes(self.rows_p, self.row_nnz)  # fwd + bwd
         return gather + wide_tiles

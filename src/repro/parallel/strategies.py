@@ -11,8 +11,8 @@ layer's distributed SpMM through this module:
   tree), which is what large layers want on multi-node clusters;
 * ``1d_allgather`` — replicate the dense operand: one hierarchical
   allgather assembles all ``n`` operand rows on every rank, then a
-  single wide SpMM (the rank's row of tiles hstacked) produces the
-  local output. Trades ``n x d`` memory and a colder SpMM working set
+  single wide SpMM (the rank's row block, its tiles side by side)
+  produces the local output. Trades ``n x d`` memory and a colder SpMM working set
   for ``P`` fewer collective launches — the right call for narrow
   layers on latency-dominated clusters (MixGCN's "feature-replicated"
   point in the design space).
@@ -32,29 +32,11 @@ from repro.device.tensor import DeviceTensor
 from repro.errors import ConfigurationError
 from repro.kernels.cost import CostModel
 from repro.kernels.ops import spmm
-from repro.sparse.csr import CSRMatrix
-from repro.sparse.symbolic import SymbolicCSR
 
 #: per-layer schemes the mixture trainer can dispatch.
 LAYER_SCHEMES = ("1d", "1d_hier", "1d_allgather")
 #: whole-model grid schemes (dedicated trainers, not per-layer).
 FIXED_SCHEMES = ("15d", "2d")
-
-
-def concat_tile_row(row_tiles: Sequence[object]):
-    """One rank's row of tiles ``[A^{i0} | A^{i1} | ...]`` as one matrix.
-
-    Functional tiles hstack into a real :class:`CSRMatrix`; symbolic
-    tiles combine into one :class:`SymbolicCSR` with summed nnz.
-    """
-    if not row_tiles:
-        raise ConfigurationError("concat_tile_row needs at least one tile")
-    if isinstance(row_tiles[0], CSRMatrix):
-        return CSRMatrix.hstack(list(row_tiles))
-    rows = row_tiles[0].shape[0]
-    cols = sum(t.shape[1] for t in row_tiles)
-    nnz = sum(t.nnz for t in row_tiles)
-    return SymbolicCSR((rows, cols), nnz)
 
 
 def allgather_spmm(
@@ -70,7 +52,8 @@ def allgather_spmm(
 ) -> Dict[int, List[Event]]:
     """Replicated-operand SpMM: allgather all rows, one wide multiply.
 
-    ``wide_tiles[i]`` is rank ``i``'s hstacked tile row (``rows_i x n``);
+    ``wide_tiles[i]`` is rank ``i``'s row block (``rows_i x n``,
+    :attr:`~repro.core.partitioner.DistributedGraph.forward_rows`);
     ``gather_buffers[i]`` holds at least ``n x d`` elements. The single
     SpMM reads the full ``n``-row operand, so its cost model sees the
     colder working set (``dense_rows = n``) — the compute-side price of

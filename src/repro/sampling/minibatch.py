@@ -103,6 +103,7 @@ class MiniBatchGCNTrainer(TrainerBase):
             engine.submit(
                 stream, f"mb/fwd{l}/gemm", "gemm",
                 self.cost.gemm_time(h.shape[0], hw.shape[1], h.shape[1]),
+                flops=2.0 * h.shape[0] * hw.shape[1] * h.shape[1],
             )
             z = block.adjacency.spmm(hw)
             engine.submit(
@@ -111,12 +112,14 @@ class MiniBatchGCNTrainer(TrainerBase):
                     block.num_dst, block.adjacency.nnz, hw.shape[1],
                     block.num_src,
                 ),
+                flops=2.0 * block.adjacency.nnz * hw.shape[1],
             )
             if l < len(blocks) - 1:
                 np.maximum(z, 0.0, out=z)
                 engine.submit(
                     stream, f"mb/fwd{l}/relu", "activation",
                     self.cost.elementwise_time(z.size, 1, 1),
+                    flops=float(z.size),
                 )
             h = z.astype(FLOAT_DTYPE, copy=False)
             outputs.append(h)
@@ -136,6 +139,7 @@ class MiniBatchGCNTrainer(TrainerBase):
         engine.submit(
             stream, "mb/loss", "loss",
             self.cost.softmax_xent_time(labels.size, logits.shape[1]),
+            flops=5.0 * labels.size * logits.shape[1],
         )
 
         # backward through the blocks
@@ -148,6 +152,7 @@ class MiniBatchGCNTrainer(TrainerBase):
                 engine.submit(
                     stream, f"mb/bwd{l}/relu", "activation",
                     self.cost.elementwise_time(g.size, 2, 1),
+                    flops=float(g.size),
                 )
             hwg = block.adjacency.transpose().spmm(g)
             engine.submit(
@@ -156,6 +161,7 @@ class MiniBatchGCNTrainer(TrainerBase):
                     block.num_src, block.adjacency.nnz, g.shape[1],
                     block.num_dst,
                 ),
+                flops=2.0 * block.adjacency.nnz * g.shape[1],
             )
             grads[l] = (inputs[l].T @ hwg).astype(FLOAT_DTYPE)
             engine.submit(
@@ -163,6 +169,8 @@ class MiniBatchGCNTrainer(TrainerBase):
                 self.cost.gemm_time(
                     inputs[l].shape[1], hwg.shape[1], inputs[l].shape[0]
                 ),
+                flops=2.0 * inputs[l].shape[1] * hwg.shape[1]
+                * inputs[l].shape[0],
             )
             if l > 0:
                 # block l's sources are exactly block l-1's destinations,
@@ -173,11 +181,14 @@ class MiniBatchGCNTrainer(TrainerBase):
                     stream, f"mb/bwd{l}/hgrad", "gemm",
                     self.cost.gemm_time(hwg.shape[0], self.weights[l].shape[0],
                                         hwg.shape[1]),
+                    flops=2.0 * hwg.shape[0] * self.weights[l].shape[0]
+                    * hwg.shape[1],
                 )
         self.optimizer.step(grads)  # type: ignore[arg-type]
         engine.submit(
             stream, "mb/adam", "adam",
             self.cost.adam_time(self.model.num_parameters),
+            flops=10.0 * self.model.num_parameters,
         )
         return loss_sum
 

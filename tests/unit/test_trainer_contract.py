@@ -74,3 +74,13 @@ def test_fit_counts_epochs_and_scores_every_split(tiny_dataset, tiny_model,
         trainer.evaluate("holdout")
     with pytest.raises(ConfigurationError):
         trainer.fit(-1)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_functional_kernels_count_flops(tiny_dataset, tiny_model, family):
+    """GeMM, SpMM and activation ops all report FLOPs, in every family."""
+    trainer = FAMILIES[family](tiny_dataset, tiny_model)
+    stats = trainer.train_epoch()
+    for category in ("gemm", "spmm", "activation"):
+        flops = sum(e.flops for e in stats.trace if e.category == category)
+        assert flops > 0, category
